@@ -11,9 +11,9 @@ from .chains import (BsccDecomposition, McEstimate, MonitorProduct,
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError, ObgError, OracleInfeasibleError)
 from .model import (LabeledMarkovChain, Obligation, ObligationGame, Owner,
-                    PureMemorylessStrategy, chain_view, dual_game,
-                    embed_chain_as_game, format_rational, make_chain,
-                    make_game, parse_rational, validate, validate_chain)
+                    PureMemorylessStrategy, dual_game, embed_chain_as_game,
+                    format_rational, make_chain, make_game, parse_rational,
+                    validate, validate_chain)
 from .obligations import (Dependency, GoodnessReport, ObligationValueReport,
                           ValueDecision, build_gamma_game, check_condition1,
                           check_condition2, check_condition3, decide_value,

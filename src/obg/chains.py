@@ -1,5 +1,8 @@
 """Exact quantitative analysis of finite Markov chains.
 
+The kernels take transition rows, ``rows[v]`` listing ``(target,
+probability)`` pairs: ``mc.succ`` of a chain, ``game.kernel`` of a fully
+probabilistic game, or the rows of ``parity.induce_chain``.
 Reachability probabilities are computed by identifying the sure-zero
 set graph-theoretically (backward reachability) and solving the
 remaining linear system over exact rationals; the zero-set elimination
@@ -25,9 +28,11 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import linalg
-from .errors import InputFormatError
-from .graphs import tarjan_scc
+from .errors import InputFormatError, InternalInvariantError
+from .graphs import reachable_from, tarjan_scc
 from .model import ONE, ZERO, LabeledMarkovChain, ObligationGame, Owner
+
+Rows = Sequence[Sequence[tuple[int, Fraction]]]
 
 # z for a two-sided 99% Wilson interval
 Z99 = 2.5758293035489004
@@ -46,15 +51,15 @@ class BsccDecomposition:
     accepting: Optional[tuple[bool, ...]]
 
 
-def bscc_decompose(mc: LabeledMarkovChain,
+def bscc_decompose(rows: Rows,
                    priority: Optional[Sequence[int]] = None) -> BsccDecomposition:
     """Exact SCC condensation; a component is bottom iff no edge leaves it."""
-    n = len(mc)
-    comps = tarjan_scc(n, lambda v: (t for t, _ in mc.succ[v]))
+    n = len(rows)
+    comps = tarjan_scc(n, lambda v: (t for t, _ in rows[v]))
     bsccs = []
     for comp in comps:
         members = frozenset(comp)
-        bottom = all(t in members for v in comp for t, _ in mc.succ[v])
+        bottom = all(t in members for v in comp for t, _ in rows[v])
         if bottom:
             bsccs.append(members)
     bsccs.sort(key=min)
@@ -66,7 +71,7 @@ def bscc_decompose(mc: LabeledMarkovChain,
     return BsccDecomposition(tuple(bsccs), transient, accepting)
 
 
-def reach_probability(mc: LabeledMarkovChain,
+def reach_probability(rows: Rows,
                       target: frozenset[int] | set[int],
                       avoid: frozenset[int] | set[int] = frozenset()) -> list[Fraction]:
     """Probability, from each location, of reaching target before touching avoid."""
@@ -74,20 +79,14 @@ def reach_probability(mc: LabeledMarkovChain,
     avoid = frozenset(avoid)
     if target & avoid:
         raise InputFormatError("target and avoid sets must be disjoint")
-    n = len(mc)
+    n = len(rows)
     # Backward reachability through non-avoid locations: everything else is sure-zero.
     preds: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
-        for t, _ in mc.succ[v]:
-            preds[t].append(v)
-    can_reach = set(target)
-    frontier = list(target)
-    while frontier:
-        v = frontier.pop()
-        for p in preds[v]:
-            if p not in can_reach and p not in avoid:
-                can_reach.add(p)
-                frontier.append(p)
+        if v not in avoid:
+            for t, _ in rows[v]:
+                preds[t].append(v)
+    can_reach = reachable_from(target, lambda v: preds[v])
     values = [ZERO] * n
     for t in target:
         values[t] = ONE
@@ -101,7 +100,7 @@ def reach_probability(mc: LabeledMarkovChain,
     for v in unknown:
         i = pos[v]
         matrix[i][i] = ONE
-        for t, p in mc.succ[v]:
+        for t, p in rows[v]:
             if t in pos:
                 matrix[i][pos[t]] -= p
             elif t in target:
@@ -113,17 +112,17 @@ def reach_probability(mc: LabeledMarkovChain,
     return values
 
 
-def parity_measure(mc: LabeledMarkovChain, priority: Sequence[int]) -> list[Fraction]:
+def parity_measure(rows: Rows, priority: Sequence[int]) -> list[Fraction]:
     """Measure of the min-even parity objective from each location."""
-    if len(priority) != len(mc):
+    if len(priority) != len(rows):
         raise InputFormatError("priority map must cover every location")
-    dec = bscc_decompose(mc, priority)
+    dec = bscc_decompose(rows, priority)
     assert dec.accepting is not None
     target: set[int] = set()
     for comp, acc in zip(dec.components, dec.accepting):
         if acc:
             target |= comp
-    return reach_probability(mc, frozenset(target))
+    return reach_probability(rows, frozenset(target))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +159,9 @@ def min_priority_monitor_product(game: ObligationGame, start: int) -> MonitorPro
     current configuration's.  The first visit to an obligation
     configuration freezes its pair, which becomes absorbing.
     """
-    assert game.succ[start], "start configuration must have a successor"
+    if not game.succ[start]:
+        raise InternalInvariantError(
+            f"monitor start {game.names[start]} has no successor")
     names: list[str] = []
     owners: list[Owner] = []
     succ: list[tuple[int, ...]] = []
@@ -295,7 +296,7 @@ def monte_carlo_estimate(mc: LabeledMarkovChain,
         cumulative.append(thresholds)
 
     if isinstance(objective, ParityObjective):
-        dec = bscc_decompose(mc, objective.priority)
+        dec = bscc_decompose(mc.succ, objective.priority)
         assert dec.accepting is not None
         verdict_of: dict[int, bool] = {}
         for comp, acc in zip(dec.components, dec.accepting):

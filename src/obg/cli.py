@@ -4,8 +4,9 @@ Subcommands: solve-game, solve-chain, verify, decide, paut accepts,
 paut uniform, export-dot, oracle, selftest.  Exit codes: 0 for success
 or a positive verdict, 1 for a negative verdict or bad certificate,
 2 for input errors, 3 for exhausted budgets, 4 for violated internal
-invariants (e.g. the determinacy identity).  Every verdict is
-reproducible byte-for-byte given identical inputs and configuration.
+invariants (e.g. the determinacy identity) and any other unexpected
+exception.  Every verdict is reproducible byte-for-byte given identical
+inputs and configuration.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def cmd_oracle(args, run: RunConfiguration) -> int:
         priority = list(doc.priority or ())
         if not priority:
             raise InputFormatError("chain file carries no priorities")
-        exact = parity_measure(doc.chain, priority)
+        exact = parity_measure(doc.chain.succ, priority)
         estimate = monte_carlo_estimate(doc.chain, ParityObjective(tuple(priority)),
                                         samples=args.samples, seed=run.seed,
                                         start=doc.chain.initial)
@@ -425,6 +426,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ObgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a crash must never exit 1, the "verdict false" code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ ordering within each run.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 
 def tarjan_scc(num_nodes: int, successors: Callable[[int], Iterable[int]]) -> list[list[int]]:
@@ -77,7 +77,7 @@ def condensation_topo_order(num_nodes: int,
     return comps, comp_of
 
 
-def reachable_from(start: Sequence[int], successors: Callable[[int], Iterable[int]]) -> set[int]:
+def reachable_from(start: Iterable[int], successors: Callable[[int], Iterable[int]]) -> set[int]:
     """Forward reachability (including the start nodes)."""
     seen = set(start)
     frontier = list(start)

@@ -55,6 +55,19 @@ def _fail(message: str) -> "InputFormatError":
     return InputFormatError(message)
 
 
+def _integer(raw: Any, where: str) -> int:
+    """A JSON integer; booleans, floats and strings are rejected, not coerced."""
+    if type(raw) is not int:
+        raise _fail(f"{where} must be an integer, got {json.dumps(raw)}")
+    return raw
+
+
+def _identifier(entry: Any, what: str) -> str:
+    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+        raise _fail(f'every {what} needs a string "id"')
+    return entry["id"]
+
+
 def loads(text: str) -> dict:
     try:
         data = json.loads(text)
@@ -115,14 +128,12 @@ def parse_chain_document(text: str) -> ChainDocument:
     obligations = []
     has_priorities = False
     for entry in locations:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise _fail("every location needs an \"id\"")
-        name = entry["id"]
+        name = _identifier(entry, "location")
         names.append(name)
         labels[name] = sorted(entry.get("labels", []))
         if "priority" in entry and entry["priority"] is not None:
             has_priorities = True
-            priorities.append(int(entry["priority"]))
+            priorities.append(_integer(entry["priority"], f"location {name}: priority"))
         else:
             priorities.append(None)
         obligations.append(_parse_obligation(entry.get("obligation"), f"location {name}"))
@@ -202,9 +213,7 @@ def parse_game_document(text: str) -> GameDocument:
         raise _fail('"configurations" must be a non-empty list')
     names, owners, priorities, obligations = [], [], [], []
     for entry in configurations:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise _fail("every configuration needs an \"id\"")
-        name = entry["id"]
+        name = _identifier(entry, "configuration")
         names.append(name)
         owner = entry.get("owner")
         if owner not in _OWNERS:
@@ -212,7 +221,7 @@ def parse_game_document(text: str) -> GameDocument:
         owners.append(_OWNERS[owner])
         if "priority" not in entry:
             raise _fail(f"configuration {name}: missing priority")
-        priorities.append(int(entry["priority"]))
+        priorities.append(_integer(entry["priority"], f"configuration {name}: priority"))
         obligations.append(_parse_obligation(entry.get("obligation"), f"configuration {name}"))
     if len(set(names)) != len(names):
         raise _fail("duplicate configuration ids")
@@ -225,7 +234,7 @@ def parse_game_document(text: str) -> GameDocument:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise _fail("every edge must be a [source, target] pair")
         a, b = pair
-        if a not in index or b not in index:
+        if not (isinstance(a, str) and isinstance(b, str)) or a not in index or b not in index:
             raise _fail(f"edge {pair} mentions an unknown configuration")
         succ_sets[index[a]].add(index[b])
     kernel_raw = data.get("kernel", {})
@@ -299,9 +308,10 @@ def parse_dependency_document(text: str, game: ObligationGame) -> Dependency:
             raise _fail(f"dependency of {name} must be null or a list of pairs")
         pairs = []
         for item in row:
-            if not (isinstance(item, list) and len(item) == 2 and isinstance(item[1], int)):
+            if not (isinstance(item, list) and len(item) == 2):
                 raise _fail(f"dependency of {name}: entries must be [target, priority] pairs")
-            pairs.append((game.index(item[0]), item[1]))
+            pairs.append((game.index(item[0]),
+                          _integer(item[1], f"dependency of {name}: priority")))
         mapping[v] = pairs
     for v in game.obligation_indices():
         mapping.setdefault(v, None)
@@ -393,10 +403,11 @@ def parse_automaton_document(text: str) -> PAutomaton:
         raise _fail('"states" must be a non-empty list')
     states, priority = [], {}
     for entry in states_raw:
-        if not isinstance(entry, dict) or "id" not in entry or "priority" not in entry:
-            raise _fail('every state needs "id" and "priority"')
-        states.append(entry["id"])
-        priority[entry["id"]] = int(entry["priority"])
+        name = _identifier(entry, "state")
+        if "priority" not in entry:
+            raise _fail(f"state {name}: missing priority")
+        states.append(name)
+        priority[name] = _integer(entry["priority"], f"state {name}: priority")
     transitions = data.get("transitions", {})
     if not isinstance(transitions, dict):
         raise _fail('"transitions" must be an object')

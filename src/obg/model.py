@@ -18,12 +18,12 @@ single objective representation serves both players.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InputFormatError
+from .errors import InputFormatError, InternalInvariantError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,6 +36,12 @@ class Owner(Enum):
     PLAYER0 = "player0"
     PLAYER1 = "player1"
     PROBABILISTIC = "probabilistic"
+
+
+# The owner of each configuration in the dual game (players swapped).
+OPPONENT = {Owner.PLAYER0: Owner.PLAYER1,
+            Owner.PLAYER1: Owner.PLAYER0,
+            Owner.PROBABILISTIC: Owner.PROBABILISTIC}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -167,7 +173,8 @@ class ObligationGame:
 
     def kernel_row(self, i: int) -> tuple[tuple[int, Fraction], ...]:
         row = self.kernel[i]
-        assert row is not None, f"configuration {self.names[i]} has no kernel row"
+        if row is None:
+            raise InternalInvariantError(f"configuration {self.names[i]} has no kernel row")
         return row
 
 
@@ -319,14 +326,9 @@ def dual_game(game: ObligationGame) -> ObligationGame:
     yields a game with identical ownership and obligations whose set of
     winning plays coincides with the original's.
     """
-    swap = {Owner.PLAYER0: Owner.PLAYER1,
-            Owner.PLAYER1: Owner.PLAYER0,
-            Owner.PROBABILISTIC: Owner.PROBABILISTIC}
-    return ObligationGame(
-        names=game.names,
-        owners=tuple(swap[o] for o in game.owners),
-        succ=game.succ,
-        kernel=game.kernel,
+    return replace(
+        game,
+        owners=tuple(OPPONENT[o] for o in game.owners),
         priority=tuple(p + 1 for p in game.priority),
         obligation=tuple(o.dual() if o is not None else None for o in game.obligation),
     )
@@ -359,28 +361,13 @@ def embed_chain_as_game(mc: LabeledMarkovChain,
     )
 
 
-def chain_view(game: ObligationGame) -> LabeledMarkovChain:
-    """The Markov chain underlying a game whose configurations are all probabilistic."""
-    assert game.is_chain(), "chain_view requires a fully probabilistic game"
-    return LabeledMarkovChain(
-        names=game.names,
-        succ=tuple(game.kernel_row(i) for i in range(len(game))),
-        labels=tuple(frozenset() for _ in game.names),
-        initial=0,
-    )
-
-
-def restrict_choice(game: ObligationGame, config: int, successor: int) -> ObligationGame:
-    """A copy of the game in which an owned configuration keeps a single edge."""
-    assert game.owners[config] is not Owner.PROBABILISTIC
-    assert successor in game.succ[config]
+def restrict_choice(game: ObligationGame, choices: Mapping[int, int]) -> ObligationGame:
+    """A copy of the game in which each owned configuration in ``choices``
+    keeps the single edge to its chosen successor."""
     succ = list(game.succ)
-    succ[config] = (successor,)
-    return ObligationGame(
-        names=game.names,
-        owners=game.owners,
-        succ=tuple(succ),
-        kernel=game.kernel,
-        priority=game.priority,
-        obligation=game.obligation,
-    )
+    for config, successor in choices.items():
+        if game.owners[config] is Owner.PROBABILISTIC or successor not in game.succ[config]:
+            raise InternalInvariantError(
+                f"cannot restrict {game.names[config]} to successor {successor}")
+        succ[config] = (successor,)
+    return replace(game, succ=tuple(succ))

@@ -31,6 +31,7 @@ the reported certificate being the lexicographically first maximal one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,18 +147,10 @@ class ObligationValueReport:
 # ---------------------------------------------------------------------------
 # Monitor (gamma) games
 
-_product_cache: dict[tuple[ObligationGame, int], MonitorProduct] = {}
 
-
+@functools.lru_cache(maxsize=4096)
 def _monitor(game: ObligationGame, start: int) -> MonitorProduct:
-    key = (game, start)
-    product = _product_cache.get(key)
-    if product is None:
-        if len(_product_cache) > 4096:
-            _product_cache.clear()
-        product = min_priority_monitor_product(game, start)
-        _product_cache[key] = product
-    return product
+    return min_priority_monitor_product(game, start)
 
 
 def reachable_pairs(game: ObligationGame, start: int) -> frozenset[Pair]:
@@ -212,20 +205,19 @@ def build_gamma_game(game: ObligationGame, start: int,
     return gamma, product.start
 
 
-_gamma_cache: dict[tuple[ObligationGame, int, frozenset[Pair]], Fraction] = {}
-
-
 def gamma_value(game: ObligationGame, start: int, pairs: Iterable[Pair]) -> Fraction:
-    """Exact value of the monitor game at its start configuration."""
-    key = (game, start, frozenset(pairs))
-    cached = _gamma_cache.get(key)
-    if cached is None:
-        if len(_gamma_cache) > 65536:
-            _gamma_cache.clear()
-        gamma, root = build_gamma_game(game, start, key[2])
-        cached = solve_values(gamma)[root]
-        _gamma_cache[key] = cached
-    return cached
+    """Exact value of the monitor game at its start configuration.
+
+    Memoized per (game, start, pair set) by ``_gamma_value``, as the
+    monitor products are by ``_monitor``; both are ``functools.lru_cache``.
+    """
+    return _gamma_value(game, start, frozenset(pairs))
+
+
+@functools.lru_cache(maxsize=65536)
+def _gamma_value(game: ObligationGame, start: int, pairs: frozenset[Pair]) -> Fraction:
+    gamma, root = build_gamma_game(game, start, pairs)
+    return solve_values(gamma)[root]
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +403,10 @@ def _pair_universe(game: ObligationGame, v: int, met: frozenset[int]) -> frozens
 
 def _rows_of(met: Iterable[int], edge_set: frozenset[tuple[int, int, int]]
              ) -> dict[int, frozenset[Pair]]:
-    rows: dict[int, frozenset[Pair]] = {v: frozenset() for v in met}
     grouped: dict[int, set[Pair]] = {v: set() for v in met}
     for v, u, i in edge_set:
         grouped[v].add((u, i))
-    for v in grouped:
-        rows[v] = frozenset(grouped[v])
-    return rows
+    return {v: frozenset(pairs) for v, pairs in grouped.items()}
 
 
 def _feasible_assignment(game: ObligationGame, met: frozenset[int],

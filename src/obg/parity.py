@@ -26,6 +26,12 @@ run:
   of whichever player has fewer (exact by positional determinacy),
   within a budget.
 
+The qualitative analysis rests on one trap fixpoint, ``_sure_safe``:
+a positive attractor is the complement of the opponent's sure-safe
+region, and end components are pruned by the controller's.  Strategies
+are fixed through ``model.restrict_choice``, and ``solve_values`` is
+memoized per game by ``functools.lru_cache``.
+
 Reported witness strategies are canonical so both solvers return the
 same object: the lexicographically first optimal strategy (by
 configuration index, then successor index), obtained by fixing one
@@ -36,19 +42,20 @@ Player-0 strategies as long as this deterministic reduction is kept.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .chains import parity_measure, reach_probability
+from .chains import Rows, parity_measure, reach_probability
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError, OracleInfeasibleError)
 from .graphs import tarjan_scc
-from .model import (GE, GT, ONE, ZERO, LabeledMarkovChain, ObligationGame,
-                    Owner, PureMemorylessStrategy, chain_view, dual_game,
-                    restrict_choice)
+from .model import (GE, GT, ONE, OPPONENT, ZERO, ObligationGame, Owner,
+                    PureMemorylessStrategy, dual_game, restrict_choice)
 
 Values = tuple[Fraction, ...]
 
@@ -70,9 +77,9 @@ class ValueVector:
 
 def induce_chain(game: ObligationGame,
                  sigma: PureMemorylessStrategy,
-                 pi: PureMemorylessStrategy,
-                 initial: int = 0) -> LabeledMarkovChain:
-    """The Markov chain obtained by fixing both players' strategies."""
+                 pi: PureMemorylessStrategy) -> Rows:
+    """Transition rows of the Markov chain obtained by fixing both
+    players' strategies."""
     smap, pmap = sigma.as_dict(), pi.as_dict()
     v0 = {i for i, o in enumerate(game.owners) if o is Owner.PLAYER0}
     v1 = {i for i, o in enumerate(game.owners) if o is Owner.PLAYER1}
@@ -88,9 +95,7 @@ def induce_chain(game: ObligationGame,
                 raise InputFormatError(
                     f"strategy chooses a non-edge at {game.names[i]}")
             rows.append(((choice, ONE),))
-    return LabeledMarkovChain(names=game.names, succ=tuple(rows),
-                              labels=tuple(frozenset() for _ in game.names),
-                              initial=initial)
+    return tuple(rows)
 
 
 def _require_parity_game(game: ObligationGame) -> None:
@@ -107,59 +112,43 @@ def _require_parity_game(game: ObligationGame) -> None:
 # configurations, so kernel rows stay meaningful.
 
 
-def _pos_attr(game: ObligationGame, player: int, targets: Iterable[int],
-              sub: frozenset[int]) -> frozenset[int]:
-    """States where `player` forces reaching `targets` with positive probability."""
-    mine = Owner.PLAYER0 if player == 0 else Owner.PLAYER1
-    inside = set(targets) & sub
-    changed = True
-    while changed:
-        changed = False
-        for v in sub:
-            if v in inside:
-                continue
-            succ = [u for u in game.succ[v] if u in sub]
-            assert succ, "sub-arena contains a dead configuration"
-            owner = game.owners[v]
-            if owner is mine or owner is Owner.PROBABILISTIC:
-                hit = any(u in inside for u in succ)
-            else:
-                hit = all(u in inside for u in succ)
-            if hit:
-                inside.add(v)
-                changed = True
-    return frozenset(inside)
-
-
-def _sure_safe(game: ObligationGame, player: int, allowed: frozenset[int],
+def _sure_safe(game: ObligationGame, player: Owner, allowed: frozenset[int],
                sub: frozenset[int]) -> frozenset[int]:
     """Greatest set inside `allowed` that `player` can surely never leave."""
-    mine = Owner.PLAYER0 if player == 0 else Owner.PLAYER1
     safe = set(allowed & sub)
+    succ = {v: [u for u in game.succ[v] if u in sub] for v in safe}
     changed = True
     while changed:
         changed = False
         for v in list(safe):
-            succ = [u for u in game.succ[v] if u in sub]
-            if game.owners[v] is mine:
-                ok = any(u in safe for u in succ)
+            if game.owners[v] is player:
+                ok = any(u in safe for u in succ[v])
             else:
-                ok = bool(succ) and all(u in safe for u in succ)
+                ok = bool(succ[v]) and all(u in safe for u in succ[v])
             if not ok:
                 safe.discard(v)
                 changed = True
     return frozenset(safe)
 
 
-def _as_attr(game: ObligationGame, player: int, targets: frozenset[int],
+def _pos_attr(game: ObligationGame, player: Owner, targets: Iterable[int],
+              sub: frozenset[int]) -> frozenset[int]:
+    """States where `player` forces reaching `targets` with positive probability:
+    those the opponent cannot surely confine away from them."""
+    return sub - _sure_safe(game, OPPONENT[player], sub - frozenset(targets), sub)
+
+
+def _as_attr(game: ObligationGame, player: Owner, targets: frozenset[int],
              sub: frozenset[int]) -> frozenset[int]:
-    """States where `player` forces reaching `targets` with probability one.
+    """States where `player` forces reaching `targets` with probability one,
+    for targets in which `player` can keep the play (as the recursion's
+    winning regions are).
 
     The opponent prevents almost-sure reachability exactly when it can,
     with positive probability, reach the region it can surely confine
     away from the targets.
     """
-    opponent = 1 - player
+    opponent = OPPONENT[player]
     refuge = _sure_safe(game, opponent, sub - targets, sub)
     return sub - _pos_attr(game, opponent, refuge, sub)
 
@@ -173,17 +162,17 @@ def _as_region(game: ObligationGame, sub: frozenset[int]) -> frozenset[int]:
     if d % 2 == 0:
         # Player 0 is happy revisiting priority d.  Carve out the part of
         # the remainder the opponent can spoil and recurse without it.
-        rest = sub - _pos_attr(game, 0, dset, sub)
+        rest = sub - _pos_attr(game, Owner.PLAYER0, dset, sub)
         spoil = rest - _as_region(game, rest)
         if not spoil:
             return sub
-        return _as_region(game, sub - _pos_attr(game, 1, spoil, sub))
+        return _as_region(game, sub - _pos_attr(game, Owner.PLAYER1, spoil, sub))
     # Priority d is bad for Player 0: winning requires almost surely
     # reaching the winning region of the arena without the opponent's
     # positive attractor of d.
-    rest = sub - _pos_attr(game, 1, dset, sub)
+    rest = sub - _pos_attr(game, Owner.PLAYER1, dset, sub)
     core = _as_region(game, rest)
-    reach = _as_attr(game, 0, core, sub)
+    reach = _as_attr(game, Owner.PLAYER0, core, sub)
     if reach == sub:
         return sub
     return _as_region(game, reach)
@@ -205,19 +194,10 @@ def _max_end_components(game: ObligationGame, controller: Owner,
     edge inside, all other states keep all their branches inside, and
     the set is strongly connected under the kept edges.
     """
+    everything = frozenset(range(len(game)))
     alive = set(sub)
     while True:
-        changed = True
-        while changed:
-            changed = False
-            for v in list(alive):
-                if game.owners[v] is controller:
-                    ok = any(u in alive for u in game.succ[v])
-                else:
-                    ok = all(u in alive for u in game.succ[v])
-                if not ok:
-                    alive.discard(v)
-                    changed = True
+        alive = set(_sure_safe(game, controller, frozenset(alive), everything))
         if not alive:
             return []
         order = sorted(alive)
@@ -255,22 +235,6 @@ def _mdp_max_reach(game: ObligationGame, controller: Owner,
     which is the optimum.
     """
     n = len(game)
-    # graph-reachable backward closure; everything else has value 0
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for u in game.succ[v]:
-            preds[u].append(v)
-    can = set(targets)
-    frontier = list(targets)
-    while frontier:
-        v = frontier.pop()
-        for p in preds[v]:
-            if p not in can:
-                can.add(p)
-                frontier.append(p)
-    values = [ZERO] * n
-    for t in targets:
-        values[t] = ONE
     policy = {v: game.succ[v][0] for v in range(n)
               if game.owners[v] is controller and v not in targets}
 
@@ -285,10 +249,7 @@ def _mdp_max_reach(game: ObligationGame, controller: Owner,
                 rows.append(((policy[v], ONE),))
             else:
                 rows.append(((game.succ[v][0], ONE),))
-        chain = LabeledMarkovChain(names=game.names, succ=tuple(rows),
-                                   labels=tuple(frozenset() for _ in range(n)),
-                                   initial=0)
-        return reach_probability(chain, targets)
+        return reach_probability(rows, targets)
 
     rounds = 0
     while True:
@@ -298,8 +259,6 @@ def _mdp_max_reach(game: ObligationGame, controller: Owner,
         x = evaluate()
         improved = False
         for v, current in policy.items():
-            if v not in can:
-                continue
             best_u, best = current, x[current]
             for u in game.succ[v]:
                 if x[u] > best:
@@ -320,9 +279,8 @@ def _mdp_max_parity(game: ObligationGame, controller: Owner) -> Values:
     its minimal priority as the liminf.
     """
     n = len(game)
-    other = Owner.PLAYER1 if controller is Owner.PLAYER0 else Owner.PLAYER0
     for v in range(n):
-        if game.owners[v] is other and len(game.succ[v]) != 1:
+        if game.owners[v] is OPPONENT[controller] and len(game.succ[v]) != 1:
             raise InternalInvariantError(
                 "MDP analysis requires the passive player to be fully restricted")
     winning: set[int] = set()
@@ -334,31 +292,14 @@ def _mdp_max_parity(game: ObligationGame, controller: Owner) -> Values:
     return _mdp_max_reach(game, controller, frozenset(winning))
 
 
-def _with_priorities(game: ObligationGame, priority: tuple[int, ...]) -> ObligationGame:
-    return ObligationGame(names=game.names, owners=game.owners, succ=game.succ,
-                          kernel=game.kernel, priority=priority,
-                          obligation=game.obligation)
-
-
-def _restrict_player(game: ObligationGame, player: Owner,
-                     strategy: dict[int, int]) -> ObligationGame:
-    succ = list(game.succ)
-    for v, u in strategy.items():
-        assert game.owners[v] is player and u in game.succ[v]
-        succ[v] = (u,)
-    return ObligationGame(names=game.names, owners=game.owners, succ=tuple(succ),
-                          kernel=game.kernel, priority=game.priority,
-                          obligation=game.obligation)
-
-
 def _best_response_values(game: ObligationGame, sigma: dict[int, int]) -> Values:
     """Exact value of fixing Player 0 to ``sigma``: Player 1 minimises.
 
     The minimum of the parity probability is one minus the maximum of
     the complemented (priority + 1) objective in the resulting MDP.
     """
-    restricted = _restrict_player(game, Owner.PLAYER0, sigma)
-    complemented = _with_priorities(restricted, tuple(p + 1 for p in game.priority))
+    complemented = replace(restrict_choice(game, sigma),
+                           priority=tuple(p + 1 for p in game.priority))
     mx = _mdp_max_parity(complemented, Owner.PLAYER1)
     return tuple(ONE - x for x in mx)
 
@@ -373,6 +314,17 @@ _CLIMB_EXTRA_ROUNDS = 10
 
 def _player_states(game: ObligationGame, player: Owner) -> list[int]:
     return [v for v in range(len(game)) if game.owners[v] is player]
+
+
+def _strategy_count(game: ObligationGame, player: Owner) -> int:
+    return math.prod(len(game.succ[v]) for v in _player_states(game, player))
+
+
+def _strategies(game: ObligationGame, player: Owner) -> Iterator[dict[int, int]]:
+    """Every pure memoryless strategy of `player`, in lexicographic order."""
+    states = _player_states(game, player)
+    for combo in itertools.product(*(game.succ[v] for v in states)):
+        yield dict(zip(states, combo))
 
 
 def _initial_sigma(game: ObligationGame) -> dict[int, int]:
@@ -392,7 +344,7 @@ def _initial_sigma(game: ObligationGame) -> dict[int, int]:
             sigma[v] = game.succ[v][0]
             continue
         for u in current.succ[v]:
-            trial = restrict_choice(current, v, u)
+            trial = restrict_choice(current, {v: u})
             if region <= _as_region(trial, full):
                 current = trial
                 sigma[v] = u
@@ -435,10 +387,9 @@ def _climb(game: ObligationGame) -> Values:
 
 def _enumerate_side(game: ObligationGame) -> Values:
     """Pointwise max of all Player-0 best-response vectors (exact values)."""
-    v0 = _player_states(game, Owner.PLAYER0)
     best: Optional[list[Fraction]] = None
-    for combo in itertools.product(*(game.succ[v] for v in v0)):
-        x = _best_response_values(game, dict(zip(v0, combo)))
+    for sigma in _strategies(game, Owner.PLAYER0):
+        x = _best_response_values(game, sigma)
         if best is None:
             best = list(x)
         else:
@@ -449,16 +400,7 @@ def _enumerate_side(game: ObligationGame) -> Values:
     return tuple(best)
 
 
-def _strategy_count(game: ObligationGame, player: Owner) -> int:
-    count = 1
-    for v in _player_states(game, player):
-        count *= len(game.succ[v])
-    return count
-
-
-_value_cache: dict[ObligationGame, Values] = {}
-
-
+@functools.lru_cache(maxsize=65536)
 def solve_values(game: ObligationGame) -> Values:
     """Exact Player-0 values of an obligation-free stochastic parity game.
 
@@ -467,13 +409,11 @@ def solve_values(game: ObligationGame) -> Values:
     to one (determinacy), or an exhaustive positional enumeration of one
     player.  A bound gap that enumeration cannot close within the cap
     raises BudgetExceededError; nothing unproven is ever returned.
+    Results are memoized per game (``solve_values.cache_clear()``).
     """
-    cached = _value_cache.get(game)
-    if cached is not None:
-        return cached
     _require_parity_game(game)
     if game.is_chain():
-        vals = tuple(parity_measure(chain_view(game), game.priority))
+        vals = tuple(parity_measure(game.kernel, game.priority))
     elif not _player_states(game, Owner.PLAYER1):
         vals = _mdp_max_parity(game, Owner.PLAYER0)
     elif not _player_states(game, Owner.PLAYER0):
@@ -497,9 +437,6 @@ def solve_values(game: ObligationGame) -> Values:
             if any(vals[v] < lower[v] for v in range(len(game))) or \
                any(ONE - vals[v] < counter[v] for v in range(len(game))):
                 raise InternalInvariantError("enumeration fell below a certified bound")
-    if len(_value_cache) > 65536:
-        _value_cache.clear()
-    _value_cache[game] = vals
     return vals
 
 
@@ -511,14 +448,14 @@ def _canonical_strategy(game: ObligationGame, values: Values, player: int,
     that leaves the value vector unchanged; the result equals the first
     optimal strategy in the enumeration order used by the oracle.
     """
-    mine = Owner.PLAYER0 if player == 0 else Owner.PLAYER1
+    mine = (Owner.PLAYER0, Owner.PLAYER1)[player]
     current = game
     choices: dict[int, int] = {}
     for v in range(len(game)):
         if game.owners[v] is not mine:
             continue
         for u in current.succ[v]:
-            trial = restrict_choice(current, v, u)
+            trial = restrict_choice(current, {v: u})
             if solver(trial) == values:
                 current = trial
                 choices[v] = u
@@ -543,17 +480,8 @@ def solve_parity(game: ObligationGame, *, witnesses: bool = True) -> ValueVector
 # Brute-force oracle
 
 
-def _strategy_space(game: ObligationGame, owner: Owner) -> tuple[list[int], list[tuple[int, ...]]]:
-    configs = [v for v in range(len(game)) if game.owners[v] is owner]
-    return configs, [game.succ[v] for v in configs]
-
-
 def oracle_pair_count(game: ObligationGame) -> int:
-    count = 1
-    for v in range(len(game)):
-        if game.owners[v] is not Owner.PROBABILISTIC:
-            count *= len(game.succ[v])
-    return count
+    return _strategy_count(game, Owner.PLAYER0) * _strategy_count(game, Owner.PLAYER1)
 
 
 def solve_parity_oracle(game: ObligationGame, *,
@@ -573,12 +501,8 @@ def solve_parity_oracle(game: ObligationGame, *,
             f"oracle infeasible at this size: {pairs} strategy pairs "
             f"exceed the budget of {budgets.max_strategy_pairs}")
     n = len(game)
-    v0, s0 = _strategy_space(game, Owner.PLAYER0)
-    v1, s1 = _strategy_space(game, Owner.PLAYER1)
-    sigmas = [PureMemorylessStrategy.from_dict(0, dict(zip(v0, combo)))
-              for combo in itertools.product(*s0)]
-    pis = [PureMemorylessStrategy.from_dict(1, dict(zip(v1, combo)))
-           for combo in itertools.product(*s1)]
+    sigmas = [PureMemorylessStrategy.from_dict(0, s) for s in _strategies(game, Owner.PLAYER0)]
+    pis = [PureMemorylessStrategy.from_dict(1, s) for s in _strategies(game, Owner.PLAYER1)]
     table: list[list[Values]] = []
     for sg in sigmas:
         row = []
@@ -638,14 +562,10 @@ def decide_parity_threshold(game: ObligationGame, config: int, cmp: str,
             chain = induce_chain(game, opponent, certificate)
         return parity_measure(chain, game.priority)[config]
 
-    opposing_owner = Owner.PLAYER1 if player == 0 else Owner.PLAYER0
-    vs, ss = _strategy_space(game, opposing_owner)
-    count = 1
-    for options in ss:
-        count *= len(options)
-    if count <= budgets.max_strategy_pairs:
-        opponents = [PureMemorylessStrategy.from_dict(1 - player, dict(zip(vs, combo)))
-                     for combo in itertools.product(*ss)]
+    opposing_owner = (Owner.PLAYER1, Owner.PLAYER0)[player]
+    if _strategy_count(game, opposing_owner) <= budgets.max_strategy_pairs:
+        opponents = [PureMemorylessStrategy.from_dict(1 - player, s)
+                     for s in _strategies(game, opposing_owner)]
     else:
         opponents = [solved.pi if player == 0 else solved.sigma]  # type: ignore[list-item]
     for opponent in opponents:

@@ -18,7 +18,7 @@ from obg import (Dependency, ParityObjective, accepts, accepts_layered,
                  solve_parity, solve_parity_oracle, values_given_dependency,
                  verify_dependency)
 from obg.generators import random_chain, random_game, random_parity_game
-from obg.model import ONE, ZERO, chain_view
+from obg.model import ONE, ZERO
 
 from conftest import load_automaton, load_chain_doc, load_game
 
@@ -132,7 +132,7 @@ def test_criterion_4_fig1_reproduction():
     # the recurrence pattern measured through the monitor product
     product = min_priority_monitor_product(game, game.index("s3"))
     hit = product.frozen_node(game.index("s3"), 2)
-    measure = reach_probability(chain_view(product.product), {hit})[product.start]
+    measure = reach_probability(product.product.kernel, {hit})[product.start]
     ok &= measure == HALF
     report_line(4, ok, "fig1: s2=0, s3=1, recurrence pattern measures exactly 1/2")
 
@@ -204,7 +204,7 @@ def _until_oracle(chain) -> bool:
         region = refined
     avoid = {s for s in range(len(chain))
              if "a" not in chain.labels[s] and s not in region}
-    values = reach_probability(chain, frozenset(region), frozenset(avoid))
+    values = reach_probability(chain.succ, frozenset(region), frozenset(avoid))
     return values[chain.initial] >= HALF
 
 
@@ -213,7 +213,7 @@ def test_criterion_11_monte_carlo_consistency():
     failures = 0
     for i in range(MC_CHAINS):
         chain, priority = random_chain(rng)
-        exact = parity_measure(chain, priority)[chain.initial]
+        exact = parity_measure(chain.succ, priority)[chain.initial]
         estimate = monte_carlo_estimate(chain, ParityObjective(tuple(priority)),
                                         samples=MC_SAMPLES, seed=1000 + i)
         if not estimate.contains(exact):

@@ -23,7 +23,7 @@ def seeded_chain(seed: int):
 
 def test_single_absorbing_location():
     chain = make_chain(["s"], {"s": {"s": ONE}}, initial="s")
-    dec = bscc_decompose(chain)
+    dec = bscc_decompose(chain.succ)
     assert dec.components == (frozenset({0}),)
     assert dec.transient == frozenset()
 
@@ -32,21 +32,21 @@ def test_two_sinks_and_transient_root():
     chain = make_chain(["r", "a", "b"],
                        {"r": {"a": HALF, "b": HALF}, "a": {"a": ONE}, "b": {"b": ONE}},
                        initial="r")
-    dec = bscc_decompose(chain)
+    dec = bscc_decompose(chain.succ)
     assert set(dec.components) == {frozenset({1}), frozenset({2})}
     assert dec.transient == frozenset({0})
 
 
-def brute_force_bsccs(chain):
+def brute_force_bsccs(rows):
     """Independent oracle: a set is a bottom SCC iff it is a mutually
     reachable class with no edge leaving it."""
-    n = len(chain)
+    n = len(rows)
     reach = [{i} for i in range(n)]
     changed = True
     while changed:
         changed = False
         for v in range(n):
-            for t, _ in chain.succ[v]:
+            for t, _ in rows[v]:
                 new = reach[v] | reach[t]
                 if new != reach[v]:
                     reach[v] = new
@@ -61,15 +61,13 @@ def brute_force_bsccs(chain):
             seen |= comp
             sccs.append(frozenset(comp))
     return {c for c in sccs
-            if all(t in c for v in c for t, _ in chain.succ[v])}
+            if all(t in c for v in c for t, _ in rows[v])}
 
 
 def test_fig6_chain_bsccs_match_brute_force():
     game = load_game("fig6.game.json")
-    from obg.model import chain_view
-    chain = chain_view(game)
-    dec = bscc_decompose(chain)
-    assert set(dec.components) == brute_force_bsccs(chain)
+    dec = bscc_decompose(game.kernel)
+    assert set(dec.components) == brute_force_bsccs(game.kernel)
     # obligations erased, the whole recurrence class is one bottom SCC
     assert dec.components == (frozenset(range(6)),)
 
@@ -78,24 +76,24 @@ def test_fig6_chain_bsccs_match_brute_force():
 @settings(max_examples=40)
 def test_bsccs_match_brute_force_on_random_chains(seed):
     chain, _ = seeded_chain(seed)
-    assert set(bscc_decompose(chain).components) == brute_force_bsccs(chain)
+    assert set(bscc_decompose(chain.succ).components) == brute_force_bsccs(chain.succ)
 
 
 def test_reach_probability_trivial_laws():
     chain = make_chain(["s", "t", "u"],
                        {"s": {"t": F(1, 3), "u": F(2, 3)},
                         "t": {"t": ONE}, "u": {"u": ONE}}, initial="s")
-    values = reach_probability(chain, {1})
+    values = reach_probability(chain.succ, {1})
     assert values[1] == ONE
     assert values[0] == F(1, 3)
-    values = reach_probability(chain, {1}, avoid={0})
+    values = reach_probability(chain.succ, {1}, avoid={0})
     assert values[0] == ZERO
 
 
 def test_reach_probability_rejects_overlap():
     chain = make_chain(["s"], {"s": {"s": ONE}}, initial="s")
     with pytest.raises(InputFormatError):
-        reach_probability(chain, {0}, avoid={0})
+        reach_probability(chain.succ, {0}, avoid={0})
 
 
 def test_reach_partition_identity():
@@ -106,35 +104,33 @@ def test_reach_partition_identity():
                         "m": {"b": F(1, 3), "c": F(2, 3)},
                         "a": {"a": ONE}, "b": {"b": ONE}, "c": {"c": ONE}},
                        initial="r")
-    left = reach_probability(chain, {2, 3})
-    right = reach_probability(chain, {4})
+    left = reach_probability(chain.succ, {2, 3})
+    right = reach_probability(chain.succ, {4})
     assert all(l + r == ONE for l, r in zip(left, right))
 
 
 def test_parity_measure_constant_priorities():
     chain, _ = seeded_chain(7)
     n = len(chain)
-    assert parity_measure(chain, [0] * n) == [ONE] * n
-    assert parity_measure(chain, [1] * n) == [ZERO] * n
+    assert parity_measure(chain.succ, [0] * n) == [ONE] * n
+    assert parity_measure(chain.succ, [1] * n) == [ZERO] * n
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=40)
 def test_parity_complement_identity(seed):
     chain, priority = seeded_chain(seed)
-    direct = parity_measure(chain, priority)
-    flipped = parity_measure(chain, [p + 1 for p in priority])
+    direct = parity_measure(chain.succ, priority)
+    flipped = parity_measure(chain.succ, [p + 1 for p in priority])
     assert all(a + b == ONE for a, b in zip(direct, flipped))
 
 
 def test_monitor_product_fig6_pattern_measure():
     game = load_game("fig6.game.json")
     product = min_priority_monitor_product(game, game.index("s1"))
-    from obg.model import chain_view
-    chain = chain_view(product.product)
     hit = product.frozen_node(game.index("s1"), 0)
     assert hit is not None
-    values = reach_probability(chain, {hit})
+    values = reach_probability(product.product.kernel, {hit})
     assert values[product.start] == HALF
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +217,58 @@ def test_cli_selftest(capsys):
     assert main(["selftest", "--rounds", "3"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+# Each entry: fixture, CLI arguments before it, and how to plant a bad value.
+STRICT_TARGETS = {
+    "game priority": ("fig6.game.json", ["solve-game"], ("configurations", "priority")),
+    "game id": ("fig6.game.json", ["solve-game"], ("configurations", "id")),
+    "chain priority": ("fig1.chain.json", ["solve-chain"], ("locations", "priority")),
+    "chain id": ("fig1.chain.json", ["solve-chain"], ("locations", "id")),
+    "automaton priority": ("until.paut.json", ["paut", "uniform"], ("states", "priority")),
+    "automaton id": ("until.paut.json", ["paut", "uniform"], ("states", "id")),
+    "dependency label": ("fig6.dependency.json",
+                         ["verify", fixture_path("fig6.game.json")], ("dependencies", "s1")),
+}
+NOT_AN_INTEGER = ["x", [1], 1.5, True, "2"]
+NOT_A_STRING = [["a"], 7, None]
+STRICT_CASES = [
+    pytest.param(target, bad, id=f"{target}={json.dumps(bad)}")
+    for target in STRICT_TARGETS
+    for bad in (NOT_A_STRING if target.endswith(" id") else NOT_AN_INTEGER)]
+
+
+@pytest.mark.parametrize("target,bad", STRICT_CASES)
+def test_non_integer_priorities_and_non_string_ids_exit_2(tmp_path, capsys, target, bad):
+    name, argv, (section, key) = STRICT_TARGETS[target]
+    data = json.loads(fixture_text(name))
+    if section == "dependencies":
+        data[section][key][0][1] = bad
+    else:
+        data[section][0][key] = bad
+    path = tmp_path / name
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    expected = 'needs a string "id"' if target.endswith(" id") else "must be an integer"
+    assert err.startswith("error: ") and expected in err
+
+
+def test_unexpected_exception_exits_4_not_1(monkeypatch, capsys):
+    import obg.cli as cli_mod
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("synthetic crash")
+
+    monkeypatch.setattr(cli_mod, "cmd_solve_game", crash)
+    assert main(["solve-game", fixture_path("fig6.game.json")]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: synthetic crash\n"
+
+
+def test_selftest_does_not_depend_on_asserts():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-O", "-m", "obg.cli", "selftest", "--rounds", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "Traceback" not in done.stdout + done.stderr

@@ -286,7 +286,7 @@ def test_solve_chain_without_obligations_is_parity_measure():
     doc = load_chain_doc("fig1.chain.json")
     dep, report = solve_chain_obligations(doc.chain, doc.priority_map(), {},
                                           witnesses=False)
-    assert list(report.values) == parity_measure(doc.chain, list(doc.priority))
+    assert list(report.values) == parity_measure(doc.chain.succ, list(doc.priority))
 
 
 def test_prefix_values_collapse_to_last_configuration():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -36,8 +37,7 @@ def pi(mapping):
 
 def test_induce_chain_on_pure_kernel():
     game = load_game("fig6.game.json")
-    chain = induce_chain(strip_obligations(game), sigma({}), pi({}))
-    assert chain.succ == game.kernel
+    assert induce_chain(strip_obligations(game), sigma({}), pi({})) == game.kernel
 
 
 def test_induce_chain_rejects_domain_mismatch(fig5):
@@ -60,8 +60,7 @@ def test_fig5_described_strategy_gives_three_quarters(fig5):
 
 def test_oracle_on_pure_chain_equals_parity_measure():
     game = strip_obligations(load_game("fig6.game.json"))
-    from obg.model import chain_view
-    expect = parity_measure(chain_view(game), game.priority)
+    expect = parity_measure(game.kernel, game.priority)
     assert list(solve_parity_oracle(game).values) == expect
 
 
@@ -178,7 +177,7 @@ def test_enumeration_fallback_stays_exact(monkeypatch):
     # fallback must reconstruct the values on its own
     monkeypatch.setattr(parity_mod, "_climb",
                         lambda game: tuple(ZERO for _ in game.names))
-    parity_mod._value_cache.clear()
+    parity_mod.solve_values.cache_clear()
     rng = random.Random(21)
     try:
         for _ in range(10):
@@ -188,4 +187,118 @@ def test_enumeration_fallback_stays_exact(monkeypatch):
             assert solve_parity(game, witnesses=False).values == \
                 solve_parity_oracle(game, witnesses=False).values
     finally:
-        parity_mod._value_cache.clear()
+        parity_mod.solve_values.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# Attractors and end components against naive fixpoints
+
+
+def sub_arena(game, mask):
+    """The largest subset of `mask` in which every configuration keeps a
+    successor and probabilistic ones keep all of theirs, like the
+    sub-arenas the qualitative recursion descends into."""
+    sub = {v for v in range(len(game)) if mask >> v & 1}
+    while True:
+        bad = {v for v in sub
+               if not any(u in sub for u in game.succ[v])
+               or (game.owners[v] is Owner.PROBABILISTIC
+                   and not all(u in sub for u in game.succ[v]))}
+        if not bad:
+            return frozenset(sub)
+        sub -= bad
+
+
+def kept_by(game, player, region, sub):
+    """The largest subset of `region` in which `player` can keep the play,
+    like the winning regions the recursion attracts to."""
+    kept = set(region) & sub
+    while True:
+        bad = {v for v in kept
+               if not (any if game.owners[v] is player else all)(
+                   u in kept for u in game.succ[v] if u in sub)}
+        if not bad:
+            return frozenset(kept)
+        kept -= bad
+
+
+def naive_pos_attr(game, player, targets, sub):
+    inside = set(targets) & sub
+    while True:
+        grow = {v for v in sub - inside
+                if (any if game.owners[v] in (player, Owner.PROBABILISTIC) else all)(
+                    u in inside for u in game.succ[v] if u in sub)}
+        if not grow:
+            return frozenset(inside)
+        inside |= grow
+
+
+def naive_as_attr(game, player, targets, sub):
+    """nu Y. mu X. targets or a step into X that the owner cannot avoid,
+    where probabilistic configurations must also keep all mass in Y."""
+    stay = set(sub)
+    while True:
+        reach = set(targets) & stay
+        while True:
+            def step(v):
+                succ = [u for u in game.succ[v] if u in sub]
+                if game.owners[v] is player:
+                    return any(u in reach for u in succ)
+                if game.owners[v] is Owner.PROBABILISTIC:
+                    return all(u in stay for u in succ) and any(u in reach for u in succ)
+                return all(u in reach for u in succ)
+            grow = {v for v in stay - reach if step(v)}
+            if not grow:
+                break
+            reach |= grow
+        if reach == stay:
+            return frozenset(stay)
+        stay = reach
+
+
+def naive_end_components(game, controller, sub):
+    """Maximal sets, by brute force, where the controller can stay forever
+    and every member reaches every other under the kept edges."""
+    def kept(v, s):
+        return [u for u in game.succ[v] if u in s]
+
+    def is_end_component(s):
+        for v in s:
+            if game.owners[v] is controller:
+                if not kept(v, s):
+                    return False
+            elif len(kept(v, s)) != len(game.succ[v]):
+                return False
+        for v in s:
+            seen, frontier = {v}, [v]
+            while frontier:
+                for u in kept(frontier.pop(), s):
+                    if u not in seen:
+                        seen.add(u)
+                        frontier.append(u)
+            if seen != s:
+                return False
+        return True
+
+    members = sorted(sub)
+    found = [s for k in range(1, len(members) + 1)
+             for s in map(frozenset, itertools.combinations(members, k))
+             if is_end_component(s)]
+    return {s for s in found if not any(s < t for t in found)}
+
+
+@given(st.integers(0, 10**6), st.integers(0, 1023), st.integers(0, 1023),
+       st.integers(0, 1023), st.sampled_from([Owner.PLAYER0, Owner.PLAYER1]))
+@settings(max_examples=200)
+def test_attractors_and_end_components_match_naive_fixpoints(seed, drop1, drop2, target_mask,
+                                                             player):
+    game = random_parity_game(random.Random(seed), max_configs=10)
+    sub = sub_arena(game, ~(drop1 & drop2))
+    targets = frozenset(v for v in range(len(game)) if target_mask >> v & 1)
+    assert parity_mod._pos_attr(game, player, targets, sub) == \
+        naive_pos_attr(game, player, targets, sub)
+    closed = kept_by(game, player, targets, sub)
+    assert parity_mod._as_attr(game, player, closed, sub) == \
+        naive_as_attr(game, player, closed, sub)
+    assert set(parity_mod._max_end_components(game, player, sub)) == \
+        naive_end_components(game, player, sub)

@@ -186,7 +186,7 @@ def until_probability_verdict(chain) -> bool:
         region = refined
     avoid = {s for s in range(n)
              if "a" not in chain.labels[s] and s not in region}
-    values = reach_probability(chain, frozenset(region), frozenset(avoid))
+    values = reach_probability(chain.succ, frozenset(region), frozenset(avoid))
     return values[chain.initial] >= HALF
 
 
