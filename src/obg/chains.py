@@ -117,7 +117,8 @@ def parity_measure(rows: Rows, priority: Sequence[int]) -> list[Fraction]:
     if len(priority) != len(rows):
         raise InputFormatError("priority map must cover every location")
     dec = bscc_decompose(rows, priority)
-    assert dec.accepting is not None
+    if dec.accepting is None:
+        raise InternalInvariantError("bottom SCCs were decomposed without priorities")
     target: set[int] = set()
     for comp, acc in zip(dec.components, dec.accepting):
         if acc:
@@ -297,7 +298,8 @@ def monte_carlo_estimate(mc: LabeledMarkovChain,
 
     if isinstance(objective, ParityObjective):
         dec = bscc_decompose(mc.succ, objective.priority)
-        assert dec.accepting is not None
+        if dec.accepting is None:
+            raise InternalInvariantError("bottom SCCs were decomposed without priorities")
         verdict_of: dict[int, bool] = {}
         for comp, acc in zip(dec.components, dec.accepting):
             for v in comp:

@@ -20,8 +20,8 @@ from typing import Any, Mapping, Optional, Sequence
 
 from .errors import InputFormatError
 from .model import (GE, GT, LabeledMarkovChain, Obligation, ObligationGame,
-                    Owner, format_rational, parse_rational, validate,
-                    validate_chain)
+                    Owner, format_rational, parse_rational, require_int,
+                    validate, validate_chain)
 from .obligations import Dependency
 from .pautomata import (FF, TT, And, Formula, Or, PAutomaton, StateAtom,
                         Term, validate_automaton)
@@ -53,13 +53,6 @@ class GameDocument:
 
 def _fail(message: str) -> "InputFormatError":
     return InputFormatError(message)
-
-
-def _integer(raw: Any, where: str) -> int:
-    """A JSON integer; booleans, floats and strings are rejected, not coerced."""
-    if type(raw) is not int:
-        raise _fail(f"{where} must be an integer, got {json.dumps(raw)}")
-    return raw
 
 
 def _identifier(entry: Any, what: str) -> str:
@@ -130,10 +123,13 @@ def parse_chain_document(text: str) -> ChainDocument:
     for entry in locations:
         name = _identifier(entry, "location")
         names.append(name)
-        labels[name] = sorted(entry.get("labels", []))
+        raw_labels = entry.get("labels", [])
+        if not (isinstance(raw_labels, list) and all(isinstance(a, str) for a in raw_labels)):
+            raise _fail(f"location {name}: labels must be an array of strings")
+        labels[name] = sorted(raw_labels)
         if "priority" in entry and entry["priority"] is not None:
             has_priorities = True
-            priorities.append(_integer(entry["priority"], f"location {name}: priority"))
+            priorities.append(require_int(entry["priority"], f"location {name}: priority"))
         else:
             priorities.append(None)
         obligations.append(_parse_obligation(entry.get("obligation"), f"location {name}"))
@@ -221,7 +217,7 @@ def parse_game_document(text: str) -> GameDocument:
         owners.append(_OWNERS[owner])
         if "priority" not in entry:
             raise _fail(f"configuration {name}: missing priority")
-        priorities.append(_integer(entry["priority"], f"configuration {name}: priority"))
+        priorities.append(require_int(entry["priority"], f"configuration {name}: priority"))
         obligations.append(_parse_obligation(entry.get("obligation"), f"configuration {name}"))
     if len(set(names)) != len(names):
         raise _fail("duplicate configuration ids")
@@ -311,7 +307,7 @@ def parse_dependency_document(text: str, game: ObligationGame) -> Dependency:
             if not (isinstance(item, list) and len(item) == 2):
                 raise _fail(f"dependency of {name}: entries must be [target, priority] pairs")
             pairs.append((game.index(item[0]),
-                          _integer(item[1], f"dependency of {name}: priority")))
+                          require_int(item[1], f"dependency of {name}: priority")))
         mapping[v] = pairs
     for v in game.obligation_indices():
         mapping.setdefault(v, None)
@@ -340,6 +336,8 @@ def _parse_formula(raw: Any, where: str) -> Formula:
     if not (isinstance(raw, list) and raw and isinstance(raw[0], str)):
         raise _fail(f"{where}: formula nodes are non-empty arrays headed by a tag")
     tag = raw[0]
+    if tag in ("state", "term") and len(raw) > 1 and not isinstance(raw[1], str):
+        raise _fail(f"{where}: state names in formulas must be strings")
     if tag == "tt":
         return TT
     if tag == "ff":
@@ -407,7 +405,7 @@ def parse_automaton_document(text: str) -> PAutomaton:
         if "priority" not in entry:
             raise _fail(f"state {name}: missing priority")
         states.append(name)
-        priority[name] = _integer(entry["priority"], f"state {name}: priority")
+        priority[name] = require_int(entry["priority"], f"state {name}: priority")
     transitions = data.get("transitions", {})
     if not isinstance(transitions, dict):
         raise _fail('"transitions" must be an object')

@@ -38,7 +38,7 @@ def solve_linear_system(matrix: Sequence[Sequence[Fraction]],
         pivot_weight = -1
         for r in range(col, n):
             entry = a[r][col]
-            if entry != ZERO:
+            if entry:
                 weight = abs(entry.numerator * entry.denominator)
                 if weight > pivot_weight:
                     pivot_weight = weight
@@ -50,20 +50,20 @@ def solve_linear_system(matrix: Sequence[Sequence[Fraction]],
         pivot = a[col][col]
         for r in range(col + 1, n):
             factor = a[r][col]
-            if factor == ZERO:
+            if not factor:
                 continue
             ratio = factor / pivot
             row_r = a[r]
             row_c = a[col]
             for k in range(col, n + 1):
-                if row_c[k] != ZERO:
+                if row_c[k]:
                     row_r[k] -= ratio * row_c[k]
     x = [ZERO] * n
     for i in range(n - 1, -1, -1):
         acc = a[i][n]
         row = a[i]
         for k in range(i + 1, n):
-            if row[k] != ZERO:
+            if row[k]:
                 acc -= row[k] * x[k]
         x[i] = acc / row[i]
     return x

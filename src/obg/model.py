@@ -334,6 +334,14 @@ def dual_game(game: ObligationGame) -> ObligationGame:
     )
 
 
+def require_int(raw: object, where: str) -> int:
+    """An integer proper: booleans, floats, strings and the rest are
+    rejected, not coerced."""
+    if type(raw) is not int:
+        raise InputFormatError(f"{where} must be an integer, got {raw!r}")
+    return raw
+
+
 def embed_chain_as_game(mc: LabeledMarkovChain,
                         priority: Mapping[str, int] | Sequence[int],
                         obligations: Mapping[str, Obligation] | None = None) -> ObligationGame:
@@ -343,11 +351,11 @@ def embed_chain_as_game(mc: LabeledMarkovChain,
         missing = [name for name in mc.names if name not in priority]
         if missing:
             raise InputFormatError(f"priority missing for locations: {', '.join(missing)}")
-        prio = tuple(int(priority[name]) for name in mc.names)
+        prio = tuple(require_int(priority[name], f"priority of {name}") for name in mc.names)
     else:
         if len(priority) != n:
             raise InputFormatError("priority sequence length does not match the chain")
-        prio = tuple(int(p) for p in priority)
+        prio = tuple(require_int(p, f"priority of {name}") for name, p in zip(mc.names, priority))
     obl: list[Optional[Obligation]] = [None] * n
     for name, o in (obligations or {}).items():
         obl[mc.index(name)] = o

@@ -240,6 +240,13 @@ def _well_typed(game: ObligationGame, dep: Dependency) -> None:
                     f"dependency of {game.names[v]} uses priority {i} outside 0..{k}")
 
 
+def _obligation_at(game: ObligationGame, v: int) -> Obligation:
+    ob = game.obligation[v]
+    if ob is None:
+        raise InternalInvariantError(f"{game.names[v]} carries no obligation")
+    return ob
+
+
 def check_condition1(game: ObligationGame, dep: Dependency) -> tuple[bool, Optional[tuple[int, int]]]:
     """Every referenced target has a defined (possibly empty) set."""
     _well_typed(game, dep)
@@ -318,9 +325,7 @@ def check_condition3(game: ObligationGame, dep: Dependency
             continue
         value = gamma_value(game, v, row)
         gammas.append((v, value))
-        ob = game.obligation[v]
-        assert ob is not None
-        if failing is None and not ob.holds(value):
+        if failing is None and not _obligation_at(game, v).holds(value):
             failing = (v, value)
     return failing is None, failing, tuple(gammas)
 
@@ -434,9 +439,7 @@ def _feasible_assignment(game: ObligationGame, met: frozenset[int],
     def bounds_pass(edge_set: frozenset) -> bool:
         rows = _rows_of(met, edge_set)
         for v in order:
-            ob = game.obligation[v]
-            assert ob is not None
-            if not ob.holds(gamma_value(game, v, rows[v])):
+            if not _obligation_at(game, v).holds(gamma_value(game, v, rows[v])):
                 return False
         return True
 
@@ -511,10 +514,8 @@ def find_best_dependency(game: ObligationGame, *,
     while changed:
         changed = False
         for v in sorted(candidates):
-            ob = game.obligation[v]
-            assert ob is not None
             bound = gamma_value(game, v, _pair_universe(game, v, frozenset(candidates)))
-            if not ob.holds(bound):
+            if not _obligation_at(game, v).holds(bound):
                 candidates.discard(v)
                 changed = True
 

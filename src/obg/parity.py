@@ -35,9 +35,16 @@ memoized per game by ``functools.lru_cache``.
 Reported witness strategies are canonical so both solvers return the
 same object: the lexicographically first optimal strategy (by
 configuration index, then successor index), obtained by fixing one
-choice at a time and re-solving, keeping a choice iff the value vector
-is unchanged.  Enumeration in the oracle may be parallelized over
-Player-0 strategies as long as this deterministic reduction is kept.
+choice at a time to the first successor that leaves the value vector
+unchanged.  Only successors with the configuration's own value are
+tried, and the last of them is taken without a re-solve: optimal pure
+memoryless strategies exist in every restriction that keeps the values,
+so when all earlier ones change the values the last one keeps them.
+The finished restriction is re-solved once to check this.  The climb's
+starting strategy is chosen the same way, keeping the almost-sure region
+(``_first_keeping_choices``).  Enumeration in the oracle may be
+parallelized over Player-0 strategies as long as this deterministic
+reduction is kept.
 """
 
 from __future__ import annotations
@@ -327,32 +334,56 @@ def _strategies(game: ObligationGame, player: Owner) -> Iterator[dict[int, int]]
         yield dict(zip(states, combo))
 
 
+def _first_keeping_choices(game: ObligationGame, configs: Iterable[int],
+                           candidates: Callable[[int], list[int]],
+                           keeps: Callable[[ObligationGame], bool],
+                           what: str) -> dict[int, int]:
+    """Fix each of `configs` in turn to its first candidate successor whose
+    restriction, on top of the choices fixed so far, still `keeps` the
+    property `what`; the finished restriction is tested once.
+
+    Callers guarantee that `candidates` contains every successor that can
+    keep the property and that, in any restriction keeping it, some
+    positional strategy keeps it too.  That strategy's choice is then a
+    candidate which keeps the property, so when every earlier candidate
+    fails the last one is taken untested.  Restricting further never
+    restores a lost property, so a wrong choice anywhere also fails the
+    final test.
+    """
+    choices: dict[int, int] = {}
+    for v in configs:
+        options = candidates(v)
+        if not options:
+            raise InternalInvariantError(f"no choice at {game.names[v]} keeps {what}")
+        choices[v] = next((u for u in options[:-1]
+                           if keeps(restrict_choice(game, {**choices, v: u}))),
+                          options[-1])
+    if choices and not keeps(restrict_choice(game, choices)):
+        raise InternalInvariantError(f"the fixed choices do not keep {what}")
+    return choices
+
+
 def _initial_sigma(game: ObligationGame) -> dict[int, int]:
     """Start the climb from choices that realise the almost-sure region.
 
     Within the region where Player 0 wins almost surely, fix one edge at
-    a time, keeping only choices under which the region is preserved;
+    a time to the first successor under which the region is preserved;
     this avoids the classic plateau trap of value-based switching
-    (stalling on an odd self-loop of value zero).
+    (stalling on an odd self-loop of value zero).  Only successors inside
+    the region can preserve it, since restricting Player 0 never enlarges
+    the region; and as pure memoryless strategies suffice for almost-sure
+    parity, one of them always does (``_first_keeping_choices``).
+    Outside the region the first successor is taken.
     """
     full = frozenset(range(len(game)))
     region = _as_region(game, full)
-    sigma: dict[int, int] = {}
-    current = game
-    for v in _player_states(game, Owner.PLAYER0):
-        if v not in region:
-            sigma[v] = game.succ[v][0]
-            continue
-        for u in current.succ[v]:
-            trial = restrict_choice(current, {v: u})
-            if region <= _as_region(trial, full):
-                current = trial
-                sigma[v] = u
-                break
-        else:
-            raise InternalInvariantError(
-                f"no almost-sure choice at {game.names[v]} preserves the region")
-    return sigma
+    mine = _player_states(game, Owner.PLAYER0)
+    kept = _first_keeping_choices(
+        game, (v for v in mine if v in region),
+        lambda v: [u for u in game.succ[v] if u in region],
+        lambda trial: region <= _as_region(trial, full),
+        "the almost-sure region")
+    return {v: kept.get(v, game.succ[v][0]) for v in mine}
 
 
 def _climb(game: ObligationGame) -> Values:
@@ -387,17 +418,9 @@ def _climb(game: ObligationGame) -> Values:
 
 def _enumerate_side(game: ObligationGame) -> Values:
     """Pointwise max of all Player-0 best-response vectors (exact values)."""
-    best: Optional[list[Fraction]] = None
-    for sigma in _strategies(game, Owner.PLAYER0):
-        x = _best_response_values(game, sigma)
-        if best is None:
-            best = list(x)
-        else:
-            for v in range(len(game)):
-                if x[v] > best[v]:
-                    best[v] = x[v]
-    assert best is not None
-    return tuple(best)
+    return functools.reduce(lambda best, x: tuple(map(max, best, x)),
+                            (_best_response_values(game, sigma)
+                             for sigma in _strategies(game, Owner.PLAYER0)))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -446,23 +469,17 @@ def _canonical_strategy(game: ObligationGame, values: Values, player: int,
 
     Fixes one owned configuration at a time to its smallest successor
     that leaves the value vector unchanged; the result equals the first
-    optimal strategy in the enumeration order used by the oracle.
+    optimal strategy in the enumeration order used by the oracle.  Only
+    successors of the same value can leave it unchanged, and as optimal
+    pure memoryless strategies exist, one of them always does
+    (``_first_keeping_choices``).
     """
     mine = (Owner.PLAYER0, Owner.PLAYER1)[player]
-    current = game
-    choices: dict[int, int] = {}
-    for v in range(len(game)):
-        if game.owners[v] is not mine:
-            continue
-        for u in current.succ[v]:
-            trial = restrict_choice(current, {v: u})
-            if solver(trial) == values:
-                current = trial
-                choices[v] = u
-                break
-        else:
-            raise InternalInvariantError(
-                f"no optimal choice at {game.names[v]} preserves the values")
+    choices = _first_keeping_choices(
+        game, _player_states(game, mine),
+        lambda v: [u for u in game.succ[v] if values[u] == values[v]],
+        lambda trial: solver(trial) == values,
+        "the values")
     return PureMemorylessStrategy.from_dict(player, choices)
 
 
@@ -548,12 +565,11 @@ def decide_parity_threshold(game: ObligationGame, config: int, cmp: str,
         raise InputFormatError("comparator must be '>=' or '>'")
     if not (ZERO <= threshold <= ONE):
         raise InputFormatError("threshold must lie in [0,1]")
-    solved = solve_parity(game, witnesses=True)
-    value = solved.values[config]
+    values = solve_values(game)
+    value = values[config]
     verdict = value >= threshold if cmp == GE else value > threshold
-    assert solved.sigma is not None and solved.pi is not None
-    certificate = solved.sigma if verdict else solved.pi
     player = 0 if verdict else 1
+    certificate = _canonical_strategy(game, values, player, solve_values)
 
     def measure_against(opponent: PureMemorylessStrategy) -> Fraction:
         if player == 0:
@@ -567,7 +583,7 @@ def decide_parity_threshold(game: ObligationGame, config: int, cmp: str,
         opponents = [PureMemorylessStrategy.from_dict(1 - player, s)
                      for s in _strategies(game, opposing_owner)]
     else:
-        opponents = [solved.pi if player == 0 else solved.sigma]  # type: ignore[list-item]
+        opponents = [_canonical_strategy(game, values, 1 - player, solve_values)]
     for opponent in opponents:
         achieved = measure_against(opponent)
         sound = achieved >= value if player == 0 else achieved <= value

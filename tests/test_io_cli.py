@@ -254,6 +254,39 @@ def test_non_integer_priorities_and_non_string_ids_exit_2(tmp_path, capsys, targ
     assert err.startswith("error: ") and expected in err
 
 
+MALFORMED = {
+    "labels=5": ("fig1.chain.json", ["solve-chain"], ("locations", "labels"), 5,
+                 "labels must be an array of strings"),
+    'labels="ab"': ("fig1.chain.json", ["solve-chain"], ("locations", "labels"), "ab",
+                    "labels must be an array of strings"),
+    "labels=[[1]]": ("fig1.chain.json", ["solve-chain"], ("locations", "labels"), [[1]],
+                     "labels must be an array of strings"),
+    'state=["q1"]': ("until.paut.json", ["paut", "uniform"], ("initial",),
+                     ["state", ["q1"]], "state names in formulas must be strings"),
+    "term state=5": ("until.paut.json", ["paut", "uniform"], ("initial",),
+                     ["term", 5, ">=", "1/2"], "state names in formulas must be strings"),
+    'term state=["q2"]': ("until.paut.json", ["paut", "uniform"], ("initial",),
+                          ["term", ["q2"], ">=", "1/2"],
+                          "state names in formulas must be strings"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_labels_and_formula_states_exit_2(tmp_path, capsys, case):
+    name, argv, path_in_doc, bad, expected = MALFORMED[case]
+    data = json.loads(fixture_text(name))
+    if path_in_doc == ("initial",):
+        data["initial"] = bad
+    else:
+        section, key = path_in_doc
+        data[section][0][key] = bad
+    path = tmp_path / name
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
+
+
 def test_unexpected_exception_exits_4_not_1(monkeypatch, capsys):
     import obg.cli as cli_mod
 

@@ -112,6 +112,14 @@ def test_embed_requires_total_priority():
         embed_chain_as_game(chain, {"x": 1})
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1", F(1)], ids=repr)
+def test_embed_rejects_non_integer_priorities(bad):
+    chain = make_chain(["x", "y"], {"x": {"y": ONE}, "y": {"y": ONE}}, initial="x")
+    for priority in ({"x": bad, "y": 0}, [bad, 0]):
+        with pytest.raises(InputFormatError, match="priority of x must be an integer"):
+            embed_chain_as_game(chain, priority)
+
+
 def test_single_location_even_self_loop_has_value_one():
     chain = make_chain(["s"], {"s": {"s": ONE}}, initial="s")
     game = embed_chain_as_game(chain, {"s": 0})

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obg import (InputFormatError, OracleInfeasibleError,
+from obg import (InputFormatError, InternalInvariantError, OracleInfeasibleError,
                  PureMemorylessStrategy, decide_parity_threshold, dual_game,
                  induce_chain, make_game, parity_measure, reach_probability,
                  solve_parity, solve_parity_oracle)
 from obg.budgets import Budgets
 from obg.generators import random_parity_game
-from obg.model import ONE, ZERO, ObligationGame, Owner
+from obg.model import ONE, ZERO, ObligationGame, Owner, restrict_choice
 from obg.obligations import build_gamma_game
 import obg.parity as parity_mod
 
@@ -302,3 +302,88 @@ def test_attractors_and_end_components_match_naive_fixpoints(seed, drop1, drop2,
         naive_as_attr(game, player, closed, sub)
     assert set(parity_mod._max_end_components(game, player, sub)) == \
         naive_end_components(game, player, sub)
+
+
+# ---------------------------------------------------------------------------
+# First-keeping-choice search: the naive one-at-a-time loops it replaced,
+# which try every successor of every owned configuration in order.
+
+
+def naive_initial_sigma(game):
+    full = frozenset(range(len(game)))
+    region = parity_mod._as_region(game, full)
+    sigma, current = {}, game
+    for v in parity_mod._player_states(game, Owner.PLAYER0):
+        if v not in region:
+            sigma[v] = game.succ[v][0]
+            continue
+        for u in current.succ[v]:
+            trial = restrict_choice(current, {v: u})
+            if region <= parity_mod._as_region(trial, full):
+                current, sigma[v] = trial, u
+                break
+        else:
+            raise AssertionError("no choice preserves the region")
+    return sigma
+
+
+def naive_canonical_strategy(game, values, player, solver):
+    mine = (Owner.PLAYER0, Owner.PLAYER1)[player]
+    current, choices = game, {}
+    for v in parity_mod._player_states(game, mine):
+        for u in current.succ[v]:
+            trial = restrict_choice(current, {v: u})
+            if solver(trial) == values:
+                current, choices[v] = trial, u
+                break
+        else:
+            raise AssertionError("no choice preserves the values")
+    return PureMemorylessStrategy.from_dict(player, choices)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150)
+def test_first_keeping_choices_match_the_naive_loops(seed):
+    primal = random_parity_game(random.Random(seed), max_configs=10)
+    for game in (primal, dual_game(primal)):
+        assert parity_mod._initial_sigma(game) == naive_initial_sigma(game)
+        values = parity_mod.solve_values(game)
+        for player in (0, 1):
+            assert parity_mod._canonical_strategy(game, values, player,
+                                                  parity_mod.solve_values) == \
+                naive_canonical_strategy(game, values, player, parity_mod.solve_values)
+
+
+def test_canonical_strategy_tests_the_final_restriction():
+    # The solver lies only once the player is left a single choice
+    # everywhere, which the search reaches only in its final test.
+    game = random_parity_game(random.Random(16), max_configs=10)
+    values = parity_mod.solve_values(game)
+    for player, owner in ((0, Owner.PLAYER0), (1, Owner.PLAYER1)):
+        mine = parity_mod._player_states(game, owner)
+        assert any(len(game.succ[v]) > 1 for v in mine)
+
+        def lying(trial):
+            if all(len(trial.succ[v]) == 1 for v in mine):
+                return ()
+            return parity_mod.solve_values(trial)
+
+        with pytest.raises(InternalInvariantError):
+            parity_mod._canonical_strategy(game, values, player, lying)
+
+
+def test_canonical_strategy_needs_fewer_solves_than_the_naive_loop():
+    game = random_parity_game(random.Random(16), max_configs=10)
+    values = parity_mod.solve_values(game)
+    calls = []
+
+    def counting(trial):
+        calls.append(trial)
+        return parity_mod.solve_values(trial)
+
+    fast = [parity_mod._canonical_strategy(game, values, p, counting) for p in (0, 1)]
+    fast_calls = len(calls)
+    calls.clear()
+    naive = [naive_canonical_strategy(game, values, p, counting) for p in (0, 1)]
+    assert fast == naive
+    assert (fast_calls, len(calls)) == (3, 7)
