@@ -30,7 +30,8 @@ from typing import Optional, Sequence, Union
 from . import linalg
 from .errors import InputFormatError, InternalInvariantError
 from .graphs import reachable_from, tarjan_scc
-from .model import ONE, ZERO, LabeledMarkovChain, ObligationGame, Owner
+from .model import (ONE, ZERO, ConfigRow, LabeledMarkovChain, ObligationGame,
+                    Owner, explore_game)
 
 Rows = Sequence[Sequence[tuple[int, Fraction]]]
 
@@ -158,76 +159,36 @@ def min_priority_monitor_product(game: ObligationGame, start: int) -> MonitorPro
 
     The minimum excludes the start's own priority and includes the
     current configuration's.  The first visit to an obligation
-    configuration freezes its pair, which becomes absorbing.
+    configuration freezes its pair, which becomes absorbing.  Nodes are
+    numbered in discovery order (:func:`model.explore_game`): the root
+    is 0, and a node's successors follow its configuration's sorted
+    successors.
     """
     if not game.succ[start]:
         raise InternalInvariantError(
             f"monitor start {game.names[start]} has no successor")
-    names: list[str] = []
-    owners: list[Owner] = []
-    succ: list[tuple[int, ...]] = []
-    kernel: list[Optional[tuple[tuple[int, Fraction], ...]]] = []
-    priority: list[int] = []
-    node_of: dict[tuple[str, int, int], int] = {}
-    live: list[tuple[int, int, int]] = []
-    frozen: list[tuple[int, int, int]] = []
-    pending: list[tuple[str, int, int]] = []
 
-    def add_node(kind: str, config: int, m: int) -> int:
-        key = (kind, config, m)
-        if key in node_of:
-            return node_of[key]
-        node = len(names)
-        node_of[key] = node
-        if kind == "root":
-            names.append(f"{game.names[config]}@start")
-        elif kind == "live":
-            names.append(f"{game.names[config]}@{m}")
-            live.append((node, config, m))
-        else:
-            names.append(f"{game.names[config]}!{m}")
-            frozen.append((node, config, m))
-        owners.append(Owner.PROBABILISTIC if kind == "frozen" else game.owners[config])
-        priority.append(game.priority[config])
-        succ.append(())
-        kernel.append(None)
-        pending.append(key)
-        return node
-
-    def step(m_before: Optional[int], target: int) -> int:
+    def step(m_before: Optional[int], target: int) -> tuple[str, int, int]:
         m = game.priority[target] if m_before is None else min(m_before, game.priority[target])
-        kind = "frozen" if game.obligation[target] is not None else "live"
-        return add_node(kind, target, m)
+        return ("frozen" if game.obligation[target] is not None else "live", target, m)
 
-    root = add_node("root", start, -1)
-    while pending:
-        kind, config, m = key = pending.pop()
-        node = node_of[key]
+    def expand(key: tuple[str, int, Optional[int]]) -> ConfigRow:
+        kind, config, m = key
+        name, prio = game.names[config], game.priority[config]
         if kind == "frozen":
-            succ[node] = (node,)
-            kernel[node] = ((node, ONE),)
-            continue
-        m_before = None if kind == "root" else m
-        edge_nodes = set()
-        for t in game.succ[config]:
-            edge_nodes.add(step(m_before, t))
-        succ[node] = tuple(sorted(edge_nodes))
-        if game.owners[config] is Owner.PROBABILISTIC:
-            row: dict[int, Fraction] = {}
-            for t, p in game.kernel_row(config):
-                tn = step(m_before, t)
-                row[tn] = row.get(tn, ZERO) + p
-            kernel[node] = tuple(sorted(row.items()))
-    product = ObligationGame(
-        names=tuple(names),
-        owners=tuple(owners),
-        succ=tuple(succ),
-        kernel=tuple(kernel),
-        priority=tuple(priority),
-        obligation=tuple(None for _ in names),
-    )
-    return MonitorProduct(product=product, start=root,
-                          live=tuple(live), frozen=tuple(frozen))
+            return f"{name}!{m}", Owner.PROBABILISTIC, prio, None, [(key, ONE)]
+        owner = game.owners[config]
+        if owner is Owner.PROBABILISTIC:
+            moves: list = [(step(m, t), p) for t, p in game.kernel_row(config)]
+        else:
+            moves = [step(m, t) for t in game.succ[config]]
+        return f"{name}@{'start' if kind == 'root' else m}", owner, prio, None, moves
+
+    product, keys = explore_game(("root", start, None), expand)
+    nodes = [(kind, (node, c, m)) for node, (kind, c, m) in enumerate(keys)]
+    return MonitorProduct(product=product, start=0,
+                          live=tuple(n for kind, n in nodes if kind == "live"),
+                          frozen=tuple(n for kind, n in nodes if kind == "frozen"))
 
 
 # ---------------------------------------------------------------------------

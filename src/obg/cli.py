@@ -43,8 +43,6 @@ EXIT_INVARIANT = 4
 class RunConfiguration:
     """Everything one invocation depends on besides the input files."""
 
-    command: str
-    inputs: list[str] = field(default_factory=list)
     budgets: Budgets = field(default_factory=budgets_from_env)
     output_format: str = "table"
     seed: int = 0
@@ -52,12 +50,7 @@ class RunConfiguration:
 
     @staticmethod
     def from_args(args) -> "RunConfiguration":
-        inputs = [getattr(args, name) for name in
-                  ("game", "chain", "dependency", "automaton", "input")
-                  if getattr(args, name, None)]
         return RunConfiguration(
-            command=args.command,
-            inputs=inputs,
             budgets=budgets_from_env().override(
                 max_obligations=getattr(args, "max_obligations", None),
                 max_priority=getattr(args, "max_priority", None),
@@ -72,10 +65,6 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_game(path: str) -> ObligationGame:
-    return io_formats.parse_game_document(_read(path)).game
 
 
 def _load_obligation_game(path: str) -> ObligationGame:

@@ -20,8 +20,8 @@ from typing import Any, Mapping, Optional, Sequence
 
 from .errors import InputFormatError
 from .model import (GE, GT, LabeledMarkovChain, Obligation, ObligationGame,
-                    Owner, format_rational, parse_rational, require_int,
-                    validate, validate_chain)
+                    Owner, format_rational, make_game, parse_rational,
+                    require_int, validate, validate_chain)
 from .obligations import Dependency
 from .pautomata import (FF, TT, And, Formula, Or, PAutomaton, StateAtom,
                         Term, validate_automaton)
@@ -207,46 +207,39 @@ def parse_game_document(text: str) -> GameDocument:
     configurations = data.get("configurations")
     if not isinstance(configurations, list) or not configurations:
         raise _fail('"configurations" must be a non-empty list')
-    names, owners, priorities, obligations = [], [], [], []
+    configs, names = [], []
     for entry in configurations:
         name = _identifier(entry, "configuration")
         names.append(name)
         owner = entry.get("owner")
         if owner not in _OWNERS:
             raise _fail(f"configuration {name}: owner must be one of {sorted(_OWNERS)}")
-        owners.append(_OWNERS[owner])
         if "priority" not in entry:
             raise _fail(f"configuration {name}: missing priority")
-        priorities.append(require_int(entry["priority"], f"configuration {name}: priority"))
-        obligations.append(_parse_obligation(entry.get("obligation"), f"configuration {name}"))
-    if len(set(names)) != len(names):
+        configs.append((name, _OWNERS[owner],
+                        require_int(entry["priority"], f"configuration {name}: priority"),
+                        _parse_obligation(entry.get("obligation"), f"configuration {name}")))
+    known = set(names)
+    if len(known) != len(names):
         raise _fail("duplicate configuration ids")
-    index = {n: i for i, n in enumerate(names)}
     edges_raw = data.get("edges")
     if not isinstance(edges_raw, list):
         raise _fail('"edges" must be a list of [source, target] pairs')
-    succ_sets: list[set[int]] = [set() for _ in names]
     for pair in edges_raw:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise _fail("every edge must be a [source, target] pair")
         a, b = pair
-        if not (isinstance(a, str) and isinstance(b, str)) or a not in index or b not in index:
+        if not (isinstance(a, str) and isinstance(b, str)) or a not in known or b not in known:
             raise _fail(f"edge {pair} mentions an unknown configuration")
-        succ_sets[index[a]].add(index[b])
     kernel_raw = data.get("kernel", {})
     if not isinstance(kernel_raw, dict):
         raise _fail('"kernel" must be an object')
-    kernel: list[Optional[tuple[tuple[int, Fraction], ...]]] = [None] * len(names)
+    kernel = {}
     for name, row in kernel_raw.items():
-        if name not in index:
+        if name not in known:
             raise _fail(f"kernel mentions unknown configuration {name!r}")
-        parsed = _parse_row(row, names, f"kernel of {name}")
-        kernel[index[name]] = tuple(sorted((index[t], p) for t, p in parsed.items()))
-    game = ObligationGame(
-        names=tuple(names), owners=tuple(owners),
-        succ=tuple(tuple(sorted(s)) for s in succ_sets),
-        kernel=tuple(kernel), priority=tuple(priorities),
-        obligation=tuple(obligations))
+        kernel[name] = _parse_row(row, names, f"kernel of {name}")
+    game = make_game(configs, edges_raw, kernel)
     problems = validate(game)
     if problems:
         raise _fail("invalid game: " + "; ".join(problems))

@@ -14,6 +14,12 @@ Parity convention: a play is winning for Player 0 iff the minimal
 priority occurring infinitely often (liminf) is even.  Dualization adds
 one to every priority instead of storing a "complemented" flag, so a
 single objective representation serves both players.
+
+Derived games (monitor products and their gamma games, p-automaton
+products and class games) are assembled by :func:`game_from_rows`, on
+its own or through :func:`explore_game`.  A probabilistic row's support
+becomes its successors, so their edges and kernels agree by
+construction.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import (Callable, Hashable, Iterable, Mapping, Optional, Sequence,
+                    TypeVar)
 
 from .errors import InputFormatError, InternalInvariantError
 
@@ -125,15 +132,6 @@ class LabeledMarkovChain:
         except ValueError:
             raise InputFormatError(f"unknown location {name!r}") from None
 
-    def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.succ[i])
-
-    def probability(self, i: int, j: int) -> Fraction:
-        for t, p in self.succ[i]:
-            if t == j:
-                return p
-        return ZERO
-
 
 @dataclass(frozen=True)
 class ObligationGame:
@@ -192,18 +190,90 @@ class PureMemorylessStrategy:
     def as_dict(self) -> dict[int, int]:
         return dict(self.choices)
 
-    def domain(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.choices)
-
 
 # ---------------------------------------------------------------------------
 # Builders
+
+# One configuration of a derived game: name, owner, priority, obligation
+# and moves.  The moves of an owned configuration are its successors, those
+# of a probabilistic one (successor, probability) pairs.
+ConfigRow = tuple[str, Owner, int, Optional[Obligation], Iterable]
+K = TypeVar("K", bound=Hashable)
+
+
+def game_from_rows(rows: Sequence[ConfigRow]) -> ObligationGame:
+    """Assemble a game from per-configuration rows, in row order.
+
+    Successors are sorted and deduplicated.  A probabilistic row's
+    probabilities are summed per target, zero ones skipped, and the
+    targets left become its successors.  Edges and kernel therefore agree
+    by construction: a derived game passes :func:`validate` as long as
+    every row has a move, every priority is non-negative and each
+    probabilistic row's non-negative probabilities sum to one.
+    """
+    succ: list[tuple[int, ...]] = []
+    kernel: list[Optional[tuple[tuple[int, Fraction], ...]]] = []
+    for _, owner, _, _, moves in rows:
+        if owner is Owner.PROBABILISTIC:
+            mass: dict[int, Fraction] = {}
+            for t, p in moves:
+                if t in mass:
+                    mass[t] += p
+                elif p:
+                    mass[t] = p
+            row = tuple(sorted(mass.items()))
+            succ.append(tuple(t for t, _ in row))
+            kernel.append(row)
+        else:
+            succ.append(tuple(sorted(set(moves))))
+            kernel.append(None)
+    names, owners, priority, obligation, _ = zip(*rows)
+    return ObligationGame(names=names, owners=owners, succ=tuple(succ), kernel=tuple(kernel),
+                          priority=priority, obligation=obligation)
+
+
+def explore_game(root: K, expand: Callable[[K], ConfigRow]) -> tuple[ObligationGame, list[K]]:
+    """The game on the keys reachable from ``root``.
+
+    ``expand(key)`` gives the key's row, its moves naming successor keys.
+    Keys are numbered in discovery order: the root is 0, and every other
+    key gets the next index when a move first names it.  The last
+    discovered key is expanded first.  Returns the game and its keys in
+    index order.
+    """
+    keys = [root]
+    index = {root: 0}
+    rows: list[Optional[ConfigRow]] = [None]
+    pending = [0]
+
+    def number(key: K) -> int:
+        node = index.get(key)
+        if node is None:
+            node = index[key] = len(keys)
+            keys.append(key)
+            rows.append(None)
+            pending.append(node)
+        return node
+
+    while pending:
+        node = pending.pop()
+        name, owner, priority, obligation, moves = expand(keys[node])
+        if owner is Owner.PROBABILISTIC:
+            moves = [(number(t), p) for t, p in moves]
+        else:
+            moves = [number(t) for t in moves]
+        rows[node] = (name, owner, priority, obligation, moves)
+    return game_from_rows(rows), keys
 
 
 def make_game(configs: Sequence[tuple[str, Owner, int, Optional[Obligation]]],
               edges: Iterable[tuple[str, str]],
               kernel: Mapping[str, Mapping[str, Fraction]]) -> ObligationGame:
-    """Assemble a game from name-based parts; successor lists are sorted."""
+    """Assemble a game from name-based parts; successor lists are sorted.
+
+    Edges and kernel rows are kept as given, so a mismatch between them
+    is left for :func:`validate` to report.
+    """
     names = tuple(c[0] for c in configs)
     if len(set(names)) != len(names):
         raise InputFormatError("duplicate configuration names")

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -42,9 +42,9 @@ from .chains import MonitorProduct, min_priority_monitor_product
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError)
 from .graphs import tarjan_scc
-from .model import (ONE, ZERO, LabeledMarkovChain, Obligation,
+from .model import (ONE, ZERO, ConfigRow, LabeledMarkovChain, Obligation,
                     ObligationGame, Owner, dual_game, embed_chain_as_game,
-                    format_rational)
+                    format_rational, game_from_rows)
 from .parity import ValueVector, solve_parity, solve_values
 
 Pair = tuple[int, int]  # (target obligation configuration, priority label)
@@ -170,39 +170,20 @@ def build_gamma_game(game: ObligationGame, start: int,
     chosen = frozenset(pairs)
     product = _monitor(game, start)
     base = product.product
-    n = len(base)
-    win, lose = n, n + 1
-    redirect: dict[int, int] = {}
-    for node, config, m in product.frozen:
-        redirect[node] = win if (config, m) in chosen else lose
-    names = list(base.names) + ["WIN", "LOSE"]
-    owners = list(base.owners) + [Owner.PROBABILISTIC, Owner.PROBABILISTIC]
-    priority = list(base.priority) + [0, 1]
-    succ: list[tuple[int, ...]] = []
-    kernel: list[Optional[tuple[tuple[int, Fraction], ...]]] = []
-    for v in range(n):
-        if v in redirect:
-            sink = redirect[v]
-            succ.append((sink,))
-            kernel.append(((sink, ONE),))
-            continue
-        row = tuple(sorted({redirect.get(t, t) for t in base.succ[v]}))
-        succ.append(row)
-        if base.owners[v] is Owner.PROBABILISTIC:
-            merged: dict[int, Fraction] = {}
-            for t, p in base.kernel_row(v):
-                t = redirect.get(t, t)
-                merged[t] = merged.get(t, ZERO) + p
-            kernel.append(tuple(sorted(merged.items())))
+    win, lose = len(base), len(base) + 1
+    # A frozen node's self-loop becomes its single move to a sink.
+    redirect = {node: win if (config, m) in chosen else lose
+                for node, config, m in product.frozen}
+    rows: list[ConfigRow] = []
+    for v, row in enumerate(base.kernel):
+        if row is None:
+            moves: list = [redirect.get(t, t) for t in base.succ[v]]
         else:
-            kernel.append(None)
-    succ.extend([(win,), (lose,)])
-    kernel.extend([((win, ONE),), ((lose, ONE),)])
-    gamma = ObligationGame(
-        names=tuple(names), owners=tuple(owners), succ=tuple(succ),
-        kernel=tuple(kernel), priority=tuple(priority),
-        obligation=tuple(None for _ in names))
-    return gamma, product.start
+            moves = [(redirect.get(t, t), p) for t, p in row]
+        rows.append((base.names[v], base.owners[v], base.priority[v], None, moves))
+    rows.append(("WIN", Owner.PROBABILISTIC, 0, None, [(win, ONE)]))
+    rows.append(("LOSE", Owner.PROBABILISTIC, 1, None, [(lose, ONE)]))
+    return game_from_rows(rows), product.start
 
 
 def gamma_value(game: ObligationGame, start: int, pairs: Iterable[Pair]) -> Fraction:
@@ -348,19 +329,13 @@ def verify_dependency(game: ObligationGame, dep: Dependency) -> GoodnessReport:
 
 def _reduced_game(game: ObligationGame, fulfilled: frozenset[int]) -> ObligationGame:
     """Met obligations become absorbing wins, unmet ones absorbing losses."""
-    names = game.names
-    owners = list(game.owners)
-    succ = list(game.succ)
-    kernel = list(game.kernel)
+    owners, succ, kernel = list(game.owners), list(game.succ), list(game.kernel)
     priority = list(game.priority)
     for v in game.obligation_indices():
-        owners[v] = Owner.PROBABILISTIC
-        succ[v] = (v,)
-        kernel[v] = ((v, ONE),)
+        owners[v], succ[v], kernel[v] = Owner.PROBABILISTIC, (v,), ((v, ONE),)
         priority[v] = 0 if v in fulfilled else 1
-    return ObligationGame(names=names, owners=tuple(owners), succ=tuple(succ),
-                          kernel=tuple(kernel), priority=tuple(priority),
-                          obligation=tuple(None for _ in names))
+    return replace(game, owners=tuple(owners), succ=tuple(succ), kernel=tuple(kernel),
+                   priority=tuple(priority), obligation=(None,) * len(game))
 
 
 def values_given_dependency(game: ObligationGame, dep: Dependency, *,

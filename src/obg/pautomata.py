@@ -29,8 +29,9 @@ from typing import Iterable, Mapping, Optional, Union
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import InputFormatError
 from .graphs import condensation_topo_order
-from .model import (ONE, ZERO, LabeledMarkovChain, Obligation,
-                    ObligationGame, Owner, format_rational, is_probability)
+from .model import (ONE, ZERO, ConfigRow, LabeledMarkovChain, Obligation,
+                    ObligationGame, Owner, explore_game, format_rational,
+                    game_from_rows, is_probability)
 from .obligations import ObligationValueReport, find_best_dependency
 
 # --------------------------------------------------------------------------
@@ -243,8 +244,8 @@ def is_uniform(aut: PAutomaton) -> tuple[bool, Optional[tuple[Formula, ...]]]:
     graph = build_automaton_graph(aut)
     index = {f: i for i, f in enumerate(graph.nodes)}
     adj: list[list[int]] = [[] for _ in graph.nodes]
-    for a, b in graph.all_edges():
-        adj[index[a]].append(index[b])
+    for a, b in sorted((index[a], index[b]) for a, b in graph.all_edges()):
+        adj[a].append(b)
     comps, comp_of = condensation_topo_order(len(graph.nodes), lambda v: adj[v])
     bounded_in = set()
     unbounded_in = set()
@@ -278,83 +279,38 @@ def build_product_game(aut: PAutomaton, mc: LabeledMarkovChain
 
 def _build_product(aut: PAutomaton, mc: LabeledMarkovChain
                    ) -> tuple[ObligationGame, int, list[tuple[int, Formula]]]:
+    """The product game, its root index and the (location, formula) pair
+    of every configuration.
+
+    Configurations are numbered in discovery order
+    (:func:`model.explore_game`): the initial pair is 0, a disjunction
+    or conjunction discovers its left operand before its right, and a
+    state or term pair discovers its successors in the order of the
+    chain's sorted row.
+    """
     problems = validate_automaton(aut)
     if problems:
         raise InputFormatError("; ".join(problems))
     ap = frozenset(aut.propositions)
     filler = aut.max_priority()
 
-    names: list[str] = []
-    owners: list[Owner] = []
-    succ: list[tuple[int, ...]] = []
-    kernel: list[Optional[tuple[tuple[int, Fraction], ...]]] = []
-    priority: list[int] = []
-    obligation: list[Optional[Obligation]] = []
-    node_of: dict[tuple[int, Formula], int] = {}
-    pending: list[tuple[int, Formula]] = []
-    assignment: list[tuple[int, Formula]] = []
-
-    def add(loc: int, formula: Formula) -> int:
-        key = (loc, formula)
-        if key in node_of:
-            return node_of[key]
-        node = len(names)
-        node_of[key] = node
-        assignment.append(key)
-        names.append(f"{mc.names[loc]}|{format_formula(formula)}")
-        if isinstance(formula, Or):
-            owners.append(Owner.PLAYER0)
-            priority.append(filler)
-            obligation.append(None)
-        elif isinstance(formula, And):
-            owners.append(Owner.PLAYER1)
-            priority.append(filler)
-            obligation.append(None)
-        elif isinstance(formula, StateAtom):
-            owners.append(Owner.PROBABILISTIC)
-            priority.append(aut.priority[formula.state])
-            obligation.append(None)
-        elif isinstance(formula, Term):
-            owners.append(Owner.PROBABILISTIC)
-            priority.append(aut.priority[formula.state])
-            obligation.append(formula.obligation())
-        elif isinstance(formula, Tt):
-            owners.append(Owner.PROBABILISTIC)
-            priority.append(0)
-            obligation.append(None)
-        else:  # Ff
-            owners.append(Owner.PROBABILISTIC)
-            priority.append(1)
-            obligation.append(None)
-        succ.append(())
-        kernel.append(None)
-        pending.append(key)
-        return node
-
-    root = add(mc.initial, aut.initial)
-    while pending:
-        loc, formula = key = pending.pop()
-        node = node_of[key]
+    def expand(key: tuple[int, Formula]) -> ConfigRow:
+        loc, formula = key
+        name = f"{mc.names[loc]}|{format_formula(formula)}"
+        if isinstance(formula, (And, Or)):
+            owner = Owner.PLAYER0 if isinstance(formula, Or) else Owner.PLAYER1
+            return name, owner, filler, None, [(loc, formula.left), (loc, formula.right)]
         if isinstance(formula, (Tt, Ff)):
-            succ[node] = (node,)
-            kernel[node] = ((node, ONE),)
-        elif isinstance(formula, (And, Or)):
-            targets = sorted({add(loc, formula.left), add(loc, formula.right)})
-            succ[node] = tuple(targets)
-        else:  # StateAtom or Term: move with the chain
-            state = formula.state
-            next_formula = aut.transition(state, mc.labels[loc] & ap)
-            row: dict[int, Fraction] = {}
-            for t, p in mc.succ[loc]:
-                tn = add(t, next_formula)
-                row[tn] = row.get(tn, ZERO) + p
-            succ[node] = tuple(sorted(row))
-            kernel[node] = tuple(sorted(row.items()))
-    game = ObligationGame(
-        names=tuple(names), owners=tuple(owners), succ=tuple(succ),
-        kernel=tuple(kernel), priority=tuple(priority),
-        obligation=tuple(obligation))
-    return game, root, assignment
+            priority = 0 if isinstance(formula, Tt) else 1
+            return name, Owner.PROBABILISTIC, priority, None, [(key, ONE)]
+        # StateAtom or Term: move with the chain
+        next_formula = aut.transition(formula.state, mc.labels[loc] & ap)
+        obligation = formula.obligation() if isinstance(formula, Term) else None
+        return (name, Owner.PROBABILISTIC, aut.priority[formula.state], obligation,
+                [((t, next_formula), p) for t, p in mc.succ[loc]])
+
+    game, assignment = explore_game((mc.initial, aut.initial), expand)
+    return game, 0, assignment
 
 
 @dataclass(frozen=True)
@@ -406,8 +362,8 @@ def accepts_layered(aut: PAutomaton, mc: LabeledMarkovChain, *,
     ordered = sorted(nodes, key=format_formula)
     index = {f: i for i, f in enumerate(ordered)}
     adj: list[list[int]] = [[] for _ in ordered]
-    for a, b in edges:
-        adj[index[a]].append(index[b])
+    for a, b in sorted((index[a], index[b]) for a, b in edges):
+        adj[a].append(b)
     comps, comp_of = condensation_topo_order(len(ordered), lambda v: adj[v])
 
     class_of_config = {node: comp_of[index[formula]]
@@ -424,69 +380,39 @@ def accepts_layered(aut: PAutomaton, mc: LabeledMarkovChain, *,
 def _solve_class(product: ObligationGame, members: list[int],
                  solved: Mapping[int, Fraction], budgets: Budgets
                  ) -> dict[int, Fraction]:
-    """Solve the subgame induced by one class with weighted exit sinks."""
-    inside = {v: i for i, v in enumerate(members)}
-    names = [product.names[v] for v in members]
-    owners = [product.owners[v] for v in members]
-    priority = [product.priority[v] for v in members]
-    obligation = [product.obligation[v] for v in members]
-    succ: list[tuple[int, ...]] = []
-    kernel: list[Optional[tuple[tuple[int, Fraction], ...]]] = []
-    win = len(members)
-    lose = len(members) + 1
-    extra_named: dict[Fraction, int] = {}
-    extra_rows: list[tuple[str, tuple[tuple[int, Fraction], ...]]] = []
+    """Solve the subgame induced by one class with weighted exit sinks.
 
-    def lottery(value: Fraction) -> int:
+    The class's members keep their order and are followed by WIN, LOSE
+    and one exit lottery per distinct value strictly between 0 and 1.
+    """
+    inside = {v: i for i, v in enumerate(members)}
+    win, lose = len(members), len(members) + 1
+    lotteries: dict[Fraction, int] = {}
+
+    def exit_to(value: Fraction) -> int:
         # An owned exit to a solved configuration becomes a lottery node.
         if value == ONE:
             return win
         if value == ZERO:
             return lose
-        if value in extra_named:
-            return extra_named[value]
-        node = len(members) + 2 + len(extra_rows)
-        extra_named[value] = node
-        extra_rows.append((f"exit~{format_rational(value)}",
-                           ((win, value), (lose, ONE - value))))
-        return node
+        return lotteries.setdefault(value, len(members) + 2 + len(lotteries))
 
+    rows: list[ConfigRow] = []
     for v in members:
         if product.owners[v] is Owner.PROBABILISTIC:
-            row: dict[int, Fraction] = {}
+            moves: list = []
             for t, p in product.kernel_row(v):
                 if t in inside:
-                    row[inside[t]] = row.get(inside[t], ZERO) + p
+                    moves.append((inside[t], p))
                 else:
-                    value = solved[t]
-                    row[win] = row.get(win, ZERO) + p * value
-                    if value != ONE:
-                        row[lose] = row.get(lose, ZERO) + p * (ONE - value)
-            row = {t: p for t, p in row.items() if p > ZERO}
-            succ.append(tuple(sorted(row)))
-            kernel.append(tuple(sorted(row.items())))
+                    moves += [(win, p * solved[t]), (lose, p * (ONE - solved[t]))]
         else:
-            targets = set()
-            for t in product.succ[v]:
-                if t in inside:
-                    targets.add(inside[t])
-                else:
-                    targets.add(lottery(solved[t]))
-            succ.append(tuple(sorted(targets)))
-            kernel.append(None)
-    names += ["WIN", "LOSE"] + [name for name, _ in extra_rows]
-    owners += [Owner.PROBABILISTIC] * (2 + len(extra_rows))
-    priority += [0, 1] + [1] * len(extra_rows)
-    obligation += [None] * (2 + len(extra_rows))
-    succ.append((win,))
-    kernel.append(((win, ONE),))
-    succ.append((lose,))
-    kernel.append(((lose, ONE),))
-    for _, row in extra_rows:
-        succ.append(tuple(sorted(t for t, _ in row)))
-        kernel.append(row)
-    sub = ObligationGame(names=tuple(names), owners=tuple(owners),
-                         succ=tuple(succ), kernel=tuple(kernel),
-                         priority=tuple(priority), obligation=tuple(obligation))
-    _, report = find_best_dependency(sub, budgets=budgets, witnesses=False)
+            moves = [inside[t] if t in inside else exit_to(solved[t]) for t in product.succ[v]]
+        rows.append((product.names[v], product.owners[v], product.priority[v],
+                     product.obligation[v], moves))
+    rows.append(("WIN", Owner.PROBABILISTIC, 0, None, [(win, ONE)]))
+    rows.append(("LOSE", Owner.PROBABILISTIC, 1, None, [(lose, ONE)]))
+    rows += [(f"exit~{format_rational(value)}", Owner.PROBABILISTIC, 1, None,
+              [(win, value), (lose, ONE - value)]) for value in lotteries]
+    _, report = find_best_dependency(game_from_rows(rows), budgets=budgets, witnesses=False)
     return {v: report.values[inside[v]] for v in members}

@@ -155,6 +155,18 @@ def test_monitor_minimum_is_non_increasing(seed):
                 assert m_of[t] <= min(m, product.product.priority[t])
 
 
+def test_monitor_product_numbering_is_pinned(fig6):
+    # canonical certificates name monitor nodes by this numbering
+    mp = min_priority_monitor_product(fig6, fig6.index("s1"))
+    assert mp.start == 0
+    assert mp.product.names == (
+        "s1@start", "s2@2", "s3@0", "s4@0", "s5@0", "s6@0", "s1!0",
+        "s4@2", "s5@2", "s6@1", "s1!1", "s1!2")
+    assert mp.live == ((1, 1, 2), (2, 2, 0), (3, 3, 0), (4, 4, 0), (5, 5, 0),
+                       (7, 3, 2), (8, 4, 2), (9, 5, 1))
+    assert mp.frozen == ((6, 0, 0), (10, 0, 1), (11, 0, 2))
+
+
 def test_monitor_size_bound():
     game = load_game("fig6.game.json")
     product = min_priority_monitor_product(game, 0)

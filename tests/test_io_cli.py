@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +131,40 @@ def test_cli_outputs_are_reproducible(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# Runs each command line given as a JSON list of argument lists through
+# obg.cli.main and prints its exit code and stdout.
+README_RUNNER = """
+import contextlib, io, json, sys
+from obg.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(argv, code)
+    print(out.getvalue())
+"""
+
+
+def readme_commands() -> list[list[str]]:
+    lines = (REPO / "README.md").read_text(encoding="utf-8").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("obg ")]
+
+
+def test_readme_commands_are_reproducible_across_hash_seeds():
+    commands = readme_commands()
+    assert len(commands) >= 10
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", README_RUNNER, json.dumps(commands)],
+                              capture_output=True, env=env, cwd=REPO, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_verify_good_and_bad(capsys):

@@ -5,7 +5,7 @@ import pytest
 from obg import (InputFormatError, Obligation, Owner, dual_game,
                  embed_chain_as_game, format_rational, make_chain, make_game,
                  parse_rational, solve_parity, validate)
-from obg.model import ONE
+from obg.model import ONE, explore_game, game_from_rows
 
 from conftest import load_game
 
@@ -130,3 +130,35 @@ def test_fixture_games_validate():
     for name in ["fig5.game.json", "fig6.game.json", "fig6_s4_geq.game.json",
                  "fig6_s4_gt.game.json", "parity_demo.game.json"]:
         assert validate(load_game(name)) == [], name
+
+
+def test_game_from_rows_sums_mass_drops_zero_and_sorts():
+    half = F(1, 2)
+    game = game_from_rows([
+        # an exit into a value-0 configuration: (WIN, p*0) and (LOSE, p*1)
+        ("a", Owner.PROBABILISTIC, 0, None, [(2, half), (1, half * 0), (2, half * 1)]),
+        ("b", Owner.PLAYER0, 1, None, [3, 0, 3]),
+        ("c", Owner.PROBABILISTIC, 2, None, [(3, F(1, 4)), (2, F(1, 4)), (3, half)]),
+        ("d", Owner.PLAYER1, 3, Obligation(">", half), [3]),
+    ])
+    assert game.names == ("a", "b", "c", "d")
+    assert game.succ == ((2,), (0, 3), (2, 3), (3,))
+    assert game.kernel == (((2, ONE),), None, ((2, F(1, 4)), (3, F(3, 4))), None)
+    assert game.priority == (0, 1, 2, 3)
+    assert game.obligation == (None, None, None, Obligation(">", half))
+    assert validate(game) == []
+
+
+def test_explore_game_numbers_in_discovery_order_and_expands_last_first():
+    graph = {"r": ["a", "b"], "a": ["c"], "b": ["d"], "c": ["c"], "d": ["r"]}
+    expanded = []
+
+    def expand(key):
+        expanded.append(key)
+        return key, Owner.PLAYER0, 0, None, graph[key]
+
+    game, keys = explore_game("r", expand)
+    assert expanded == ["r", "b", "d", "a", "c"]
+    assert keys == ["r", "a", "b", "d", "c"]
+    assert game.names == tuple(keys)
+    assert game.succ == ((1, 2), (4,), (3,), (0,), (4,))

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +125,15 @@ def test_product_ownership_and_kernels():
             assert total == ONE
 
 
+def test_product_numbering_is_pinned():
+    # canonical certificates name product configurations by this numbering
+    product, root = build_product_game(until_automaton(), two_location())
+    assert root == 0
+    assert product.names == (
+        "sa|[q1≥1/2]", "sa|(q1|[q2≥1/2])", "sb|(q1|[q2≥1/2])", "sb|q1",
+        "sb|[q2≥1/2]", "sb|ff", "sa|q1", "sa|[q2≥1/2]", "sa|ff")
+
+
 def test_product_disjunction_is_player0():
     aut = until_automaton()
     product, _ = build_product_game(aut, two_location())
@@ -219,6 +232,37 @@ def test_validate_automaton_rejects_state_atom_in_initial():
     aut = PAutomaton(propositions=(), states=("q",), priority={"q": 0},
                      cases={}, default={"q": TT}, initial=StateAtom("q"))
     assert any("bare state atoms" in p for p in validate_automaton(aut))
+
+
+# Prints the members of every class accepts_layered solves, in solve order,
+# for the second automaton/chain pair drawn from random.Random(2).
+CLASS_ORDER = """
+import random
+from obg import pautomata
+from obg.generators import random_automaton, random_labeled_chain
+rng = random.Random(2)
+for _ in range(2):
+    aut, chain = random_automaton(rng, max_states=3), random_labeled_chain(rng, max_locations=4)
+solve_class = pautomata._solve_class
+def record(product, members, solved, budgets):
+    print([product.names[v] for v in members])
+    return solve_class(product, members, solved, budgets)
+pautomata._solve_class = record
+pautomata.accepts_layered(aut, chain)
+"""
+
+
+def test_layered_class_order_does_not_depend_on_hash_seed():
+    src = Path(__file__).resolve().parents[1] / "src"
+    orders = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", CLASS_ORDER],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        orders.append(done.stdout)
+    assert orders[0].count("\n") > 2
+    assert orders[0] == orders[1]
 
 
 @given(st.integers(0, 10**6))
