@@ -5,9 +5,11 @@ probability)`` pairs: ``mc.succ`` of a chain, ``game.kernel`` of a fully
 probabilistic game, or the rows of ``parity.induce_chain``.
 Reachability probabilities are computed by identifying the sure-zero
 set graph-theoretically (backward reachability) and solving the
-remaining linear system over exact rationals; the zero-set elimination
-guarantees a nonsingular system.  The parity measure is the probability
-of reaching the union of accepting bottom SCCs (minimal priority even).
+remaining linear system over exact rationals, passed to
+:func:`linalg.solve_linear_system` as sparse rows of ``(column,
+coefficient)`` pairs; the zero-set elimination guarantees a nonsingular
+system.  The parity measure is the probability of reaching the union of
+accepting bottom SCCs (minimal priority even).
 
 The min-priority monitor tracks the minimal priority seen along a path
 *after leaving the start configuration*: the start's own priority is
@@ -95,19 +97,19 @@ def reach_probability(rows: Rows,
     if not unknown:
         return values
     pos = {v: i for i, v in enumerate(unknown)}
-    m = len(unknown)
-    matrix = [[ZERO] * m for _ in range(m)]
-    rhs = [ZERO] * m
-    for v in unknown:
-        i = pos[v]
-        matrix[i][i] = ONE
+    system = []
+    rhs = [ZERO] * len(unknown)
+    for i, v in enumerate(unknown):
+        coefficients = {i: ONE}
         for t, p in rows[v]:
             if t in pos:
-                matrix[i][pos[t]] -= p
+                j = pos[t]
+                coefficients[j] = coefficients[j] - p if j in coefficients else -p
             elif t in target:
                 rhs[i] += p
             # avoid / sure-zero successors contribute nothing
-    solution = linalg.solve_linear_system(matrix, rhs)
+        system.append(tuple(sorted((c, x) for c, x in coefficients.items() if x)))
+    solution = linalg.solve_linear_system(system, rhs)
     for v, x in zip(unknown, solution):
         values[v] = x
     return values

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Container, Mapping, Optional, Sequence
 
 from .errors import InputFormatError
 from .model import (GE, GT, LabeledMarkovChain, Obligation, ObligationGame,
@@ -93,12 +93,12 @@ def _obligation_json(ob: Optional[Obligation]) -> Any:
     return {"cmp": ob.cmp, "threshold": format_rational(ob.threshold)}
 
 
-def _parse_row(raw: Any, names: Sequence[str], where: str) -> dict[str, Fraction]:
+def _parse_row(raw: Any, known: Container[str], where: str) -> dict[str, Fraction]:
     if not isinstance(raw, dict) or not raw:
         raise _fail(f"{where}: transition row must be a non-empty object")
     row = {}
     for target, p in raw.items():
-        if target not in names:
+        if target not in known:
             raise _fail(f"{where}: unknown target {target!r}")
         row[target] = parse_rational(p)
     return row
@@ -135,7 +135,8 @@ def parse_chain_document(text: str) -> ChainDocument:
         obligations.append(_parse_obligation(entry.get("obligation"), f"location {name}"))
     if has_priorities and any(p is None for p in priorities):
         raise _fail("either all locations carry a priority or none does")
-    if len(set(names)) != len(names):
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
         raise _fail("duplicate location ids")
     transitions = data.get("transitions")
     if not isinstance(transitions, dict):
@@ -144,16 +145,16 @@ def parse_chain_document(text: str) -> ChainDocument:
     for name in names:
         if name not in transitions:
             raise _fail(f"no transition row for location {name}")
-        rows[name] = _parse_row(transitions[name], names, f"transitions of {name}")
+        rows[name] = _parse_row(transitions[name], index, f"transitions of {name}")
     initial = data.get("initial")
-    if initial not in names:
+    if not isinstance(initial, str) or initial not in index:
         raise _fail('"initial" must name a location')
     chain = LabeledMarkovChain(
         names=tuple(names),
-        succ=tuple(tuple(sorted((names.index(t), p) for t, p in rows[n].items()))
+        succ=tuple(tuple(sorted((index[t], p) for t, p in rows[n].items()))
                    for n in names),
         labels=tuple(frozenset(labels[n]) for n in names),
-        initial=names.index(initial),
+        initial=index[initial],
     )
     problems = validate_chain(chain)
     if problems:
@@ -238,7 +239,7 @@ def parse_game_document(text: str) -> GameDocument:
     for name, row in kernel_raw.items():
         if name not in known:
             raise _fail(f"kernel mentions unknown configuration {name!r}")
-        kernel[name] = _parse_row(row, names, f"kernel of {name}")
+        kernel[name] = _parse_row(row, known, f"kernel of {name}")
     game = make_game(configs, edges_raw, kernel)
     problems = validate(game)
     if problems:

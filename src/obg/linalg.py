@@ -1,9 +1,14 @@
 """Exact linear-system solving over rationals.
 
-Plain Gaussian elimination with back substitution.  The pivot within a
-column is the remaining row whose entry maximises |numerator *
-denominator|; exactness never depends on the pivot choice, the rule
-just keeps intermediate fractions small and is deterministic.
+Sparse Gaussian elimination with back substitution.  A system is given
+as rows of ``(column, coefficient)`` pairs, the shape of
+``chains.Rows``, with no zero coefficients and no repeated column.
+Columns are eliminated in order.  The pivot for a column is the
+remaining row holding it with the fewest nonzeros, the lowest row index
+breaking ties; exactness never depends on the pivot choice, the rule
+just keeps fill low and is deterministic.  A column-to-rows index finds
+the pivot and the rows to eliminate, and follows fill and cancellation,
+so no step scans a whole row or column.
 
 No iterative methods: downstream threshold comparisons are strict
 versus non-strict and must be decided exactly.
@@ -28,42 +33,52 @@ class SingularMatrixError(InternalInvariantError):
     """
 
 
-def solve_linear_system(matrix: Sequence[Sequence[Fraction]],
+def solve_linear_system(rows: Sequence[Sequence[tuple[int, Fraction]]],
                         rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve ``matrix @ x = rhs`` exactly; raises SingularMatrixError."""
+    """Solve ``rows @ x = rhs`` exactly; raises SingularMatrixError.
+
+    The arguments are left unchanged.
+    """
     n = len(rhs)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    a = [dict(row) for row in rows]
+    b = list(rhs)
+    holders: list[set[int]] = [set() for _ in range(n)]
+    for r, row in enumerate(a):
+        for c in row:
+            holders[c].add(r)
+    pivots = []
     for col in range(n):
-        pivot_row = None
-        pivot_weight = -1
-        for r in range(col, n):
-            entry = a[r][col]
-            if entry:
-                weight = abs(entry.numerator * entry.denominator)
-                if weight > pivot_weight:
-                    pivot_weight = weight
-                    pivot_row = r
-        if pivot_row is None:
+        if not holders[col]:
             raise SingularMatrixError(f"singular system (column {col})")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col]
-            if not factor:
-                continue
-            ratio = factor / pivot
-            row_r = a[r]
-            row_c = a[col]
-            for k in range(col, n + 1):
-                if row_c[k]:
-                    row_r[k] -= ratio * row_c[k]
+        p = min(holders[col], key=lambda r: (len(a[r]), r))
+        pivot_row = a[p]
+        for c in pivot_row:
+            holders[c].discard(p)
+        pivots.append((col, p))
+        pivot = pivot_row[col]
+        for r in holders[col]:
+            row = a[r]
+            ratio = row.pop(col) / pivot
+            for c, v in pivot_row.items():
+                if c == col:
+                    continue
+                if c not in row:
+                    row[c] = -ratio * v
+                    holders[c].add(r)
+                    continue
+                entry = row[c] - ratio * v
+                if entry:
+                    row[c] = entry
+                else:
+                    del row[c]
+                    holders[c].discard(r)
+            if b[p]:
+                b[r] -= ratio * b[p]
     x = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        acc = a[i][n]
-        row = a[i]
-        for k in range(i + 1, n):
-            if row[k]:
-                acc -= row[k] * x[k]
-        x[i] = acc / row[i]
+    for col, p in reversed(pivots):
+        acc = b[p]
+        for c, v in a[p].items():
+            if c != col:
+                acc -= v * x[c]
+        x[col] = acc / a[p][col]
     return x

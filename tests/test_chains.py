@@ -10,6 +10,7 @@ from obg import (InputFormatError, ParityObjective, ReachObjective,
                  min_priority_monitor_product, monte_carlo_estimate,
                  parity_measure, reach_probability)
 from obg.generators import random_chain
+from obg.io_formats import ChainDocument, parse_chain_document, serialize_chain_document
 from obg.model import ONE, ZERO
 
 from conftest import load_chain_doc, load_game
@@ -107,6 +108,55 @@ def test_reach_partition_identity():
     left = reach_probability(chain.succ, {2, 3})
     right = reach_probability(chain.succ, {4})
     assert all(l + r == ONE for l, r in zip(left, right))
+
+
+def ruin_chain(up):
+    """Gambler's ruin on 0..L-1: both ends absorb, interior k moves up with up[k]."""
+    names = [f"s{k}" for k in range(len(up))]
+    transitions = {names[0]: {names[0]: ONE}, names[-1]: {names[-1]: ONE}}
+    for k in range(1, len(up) - 1):
+        transitions[names[k]] = {names[k + 1]: up[k], names[k - 1]: ONE - up[k]}
+    return make_chain(names, transitions, labels={names[-1]: ["a"]}, initial=names[0])
+
+
+def ruin_closed_form(up, start):
+    """sum_{j<start} rho_j / sum_{j<L-1} rho_j, rho_j = prod_{k<=j} (1-up[k])/up[k]."""
+    rho = [ONE]
+    for k in range(1, len(up) - 1):
+        rho.append(rho[-1] * (ONE - up[k]) / up[k])
+    return sum(rho[:start], ZERO) / sum(rho, ZERO)
+
+
+def balanced_walk(length, rng):
+    """Interior up-probabilities in pairs (p, 1-p), so the drift cancels pairwise.
+
+    ``length`` is even, so the interior splits into whole pairs.
+    """
+    up = [ONE] * length
+    for k in range(1, length - 2, 2):
+        p = rng.choice([F(1, 3), F(2, 5), F(3, 7), F(5, 11)])
+        up[k], up[k + 1] = p, ONE - p
+    return up
+
+
+@pytest.mark.parametrize("walk", ["balanced", "biased"])
+def test_reach_probability_matches_ruin_closed_form(walk):
+    length = 300
+    if walk == "balanced":
+        up = balanced_walk(length, random.Random(11))
+    else:
+        up = [ONE] + [F(51, 100)] * (length - 2) + [ONE]
+    values = reach_probability(ruin_chain(up).succ, {length - 1})
+    assert values[0] == ZERO and values[-1] == ONE
+    for start in (1, length // 2, length - 2):
+        assert values[start] == ruin_closed_form(up, start)
+
+
+def test_long_ruin_chain_round_trips_through_the_file_format():
+    chain = ruin_chain(balanced_walk(2000, random.Random(5)))
+    doc = ChainDocument(chain=chain, priority=None,
+                        obligations=(None,) * len(chain), provenance=None)
+    assert parse_chain_document(serialize_chain_document(doc)) == doc
 
 
 def test_parity_measure_constant_priorities():
