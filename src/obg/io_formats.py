@@ -213,7 +213,7 @@ def parse_game_document(text: str) -> GameDocument:
         name = _identifier(entry, "configuration")
         names.append(name)
         owner = entry.get("owner")
-        if owner not in _OWNERS:
+        if not isinstance(owner, str) or owner not in _OWNERS:
             raise _fail(f"configuration {name}: owner must be one of {sorted(_OWNERS)}")
         if "priority" not in entry:
             raise _fail(f"configuration {name}: missing priority")
@@ -388,8 +388,8 @@ def parse_automaton_document(text: str) -> PAutomaton:
     if data.get("kind") != "pautomaton":
         raise _fail('expected "kind": "pautomaton"')
     propositions = data.get("propositions")
-    if not isinstance(propositions, list):
-        raise _fail('"propositions" must be a list')
+    if not (isinstance(propositions, list) and all(isinstance(p, str) for p in propositions)):
+        raise _fail('"propositions" must be an array of strings')
     states_raw = data.get("states")
     if not isinstance(states_raw, list) or not states_raw:
         raise _fail('"states" must be a non-empty list')
@@ -412,8 +412,11 @@ def parse_automaton_document(text: str) -> PAutomaton:
             raise _fail(f"transitions of {q} must be an object")
         if "default" in table:
             default[q] = _parse_formula(table["default"], f"default of {q}")
+        table_cases = table.get("cases", {})
+        if not isinstance(table_cases, dict):
+            raise _fail(f"cases of {q} must be an object")
         cases[q] = {}
-        for key, raw in table.get("cases", {}).items():
+        for key, raw in table_cases.items():
             letter = _parse_letter(key, propositions, f"transition of {q}")
             cases[q][letter] = _parse_formula(raw, f"transition of {q} under {key!r}")
     initial = _parse_formula(data.get("initial"), "initial condition")

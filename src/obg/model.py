@@ -15,11 +15,11 @@ priority occurring infinitely often (liminf) is even.  Dualization adds
 one to every priority instead of storing a "complemented" flag, so a
 single objective representation serves both players.
 
-Derived games (monitor products and their gamma games, p-automaton
-products and class games) are assembled by :func:`game_from_rows`, on
-its own or through :func:`explore_game`.  A probabilistic row's support
-becomes its successors, so their edges and kernels agree by
-construction.
+Derived games are assembled by :func:`game_from_rows`, on its own or
+through :func:`explore_game` (products, class games), where a
+probabilistic row's support becomes its successors, so edges and
+kernels agree by construction; or they settle configurations of an
+existing game as won or lost (:func:`settle`: gamma and reduced games).
 """
 
 from __future__ import annotations
@@ -150,6 +150,17 @@ class ObligationGame:
     kernel: tuple[Optional[tuple[tuple[int, Fraction], ...]], ...]
     priority: tuple[int, ...]
     obligation: tuple[Optional[Obligation], ...]
+
+    def __hash__(self) -> int:
+        # Memo caches key on whole games: the field hash is taken once per
+        # object.  It is no field, so ``replace`` copies start without it.
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.names, self.owners, self.succ,
+                                                     self.kernel, self.priority, self.obligation)))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self) -> dict:  # string hashes differ between processes
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -449,3 +460,15 @@ def restrict_choice(game: ObligationGame, choices: Mapping[int, int]) -> Obligat
                 f"cannot restrict {game.names[config]} to successor {successor}")
         succ[config] = (successor,)
     return replace(game, succ=tuple(succ))
+
+
+def settle(game: ObligationGame, won: Mapping[int, bool]) -> ObligationGame:
+    """A copy of the game in which each configuration in ``won`` is an
+    obligation-free absorbing self-loop: priority 0 if won, 1 if lost."""
+    owners, succ, kernel = list(game.owners), list(game.succ), list(game.kernel)
+    priority, obligation = list(game.priority), list(game.obligation)
+    for v, wins in won.items():
+        owners[v], succ[v], kernel[v] = Owner.PROBABILISTIC, (v,), ((v, ONE),)
+        priority[v], obligation[v] = (0 if wins else 1), None
+    return replace(game, owners=tuple(owners), succ=tuple(succ), kernel=tuple(kernel),
+                   priority=tuple(priority), obligation=tuple(obligation))

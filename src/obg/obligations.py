@@ -13,9 +13,10 @@ reaching further obligations.  A game dependency is good when
    (reach a chosen pair, or stay obligation-free and win the parity
    objective) meets v's own threshold.
 
-Values then read off a single reduced game in which met obligations are
-absorbing wins, unmet ones absorbing losses, and everything else keeps
-its structure.
+The monitor game settles v's monitor product (:func:`model.settle`):
+a frozen node is an absorbing win iff its pair is chosen, else a loss.
+Values then read off a single reduced game, the game with met
+obligations settled as absorbing wins and unmet ones as losses.
 
 ``find_best_dependency`` realizes the nondeterministic choice of a
 certificate deterministically: a greatest-fixpoint pass evicts
@@ -42,9 +43,8 @@ from .chains import MonitorProduct, min_priority_monitor_product
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError)
 from .graphs import tarjan_scc
-from .model import (ONE, ZERO, ConfigRow, LabeledMarkovChain, Obligation,
-                    ObligationGame, Owner, dual_game, embed_chain_as_game,
-                    format_rational, game_from_rows)
+from .model import (ONE, ZERO, LabeledMarkovChain, Obligation, ObligationGame,
+                    dual_game, embed_chain_as_game, format_rational, settle)
 from .parity import ValueVector, solve_parity, solve_values
 
 Pair = tuple[int, int]  # (target obligation configuration, priority label)
@@ -129,7 +129,7 @@ class ObligationValueReport:
     configuration may lean on finitely many returns to itself, which a
     flat per-configuration certificate cannot express), without ever
     affecting a verdict.  ``reduced_solution`` carries the values and
-    witness strategies of the reduced (win/lose-sink) game.
+    witness strategies of the reduced (settled) game.
     """
 
     game: ObligationGame
@@ -162,28 +162,15 @@ def build_gamma_game(game: ObligationGame, start: int,
                      pairs: Iterable[Pair]) -> tuple[ObligationGame, int]:
     """The obligation-free monitor game checking ``start`` against ``pairs``.
 
-    Reaching an obligation u with frozen minimum m moves to an absorbing
-    win sink (priority 0) iff (u, m) is among the pairs, else to an
-    absorbing lose sink (priority 1); plays that stay obligation-free
-    keep their original priorities.  Size is at most |V|*(k+1) + 2.
+    The monitor product of ``start``, settled: a frozen node (u, m) is won
+    iff (u, m) is among the pairs, lost otherwise; plays that stay
+    obligation-free keep their original priorities.  Every node keeps its
+    name and index.  Size is at most |V|*(k+1) + 1.
     """
     chosen = frozenset(pairs)
-    product = _monitor(game, start)
-    base = product.product
-    win, lose = len(base), len(base) + 1
-    # A frozen node's self-loop becomes its single move to a sink.
-    redirect = {node: win if (config, m) in chosen else lose
-                for node, config, m in product.frozen}
-    rows: list[ConfigRow] = []
-    for v, row in enumerate(base.kernel):
-        if row is None:
-            moves: list = [redirect.get(t, t) for t in base.succ[v]]
-        else:
-            moves = [(redirect.get(t, t), p) for t, p in row]
-        rows.append((base.names[v], base.owners[v], base.priority[v], None, moves))
-    rows.append(("WIN", Owner.PROBABILISTIC, 0, None, [(win, ONE)]))
-    rows.append(("LOSE", Owner.PROBABILISTIC, 1, None, [(lose, ONE)]))
-    return game_from_rows(rows), product.start
+    monitor = _monitor(game, start)
+    return settle(monitor.product, {node: (config, m) in chosen
+                                    for node, config, m in monitor.frozen}), monitor.start
 
 
 def gamma_value(game: ObligationGame, start: int, pairs: Iterable[Pair]) -> Fraction:
@@ -327,25 +314,12 @@ def verify_dependency(game: ObligationGame, dep: Dependency) -> GoodnessReport:
 # Values from a certificate
 
 
-def _reduced_game(game: ObligationGame, fulfilled: frozenset[int]) -> ObligationGame:
-    """Met obligations become absorbing wins, unmet ones absorbing losses."""
-    owners, succ, kernel = list(game.owners), list(game.succ), list(game.kernel)
-    priority = list(game.priority)
-    for v in game.obligation_indices():
-        owners[v], succ[v], kernel[v] = Owner.PROBABILISTIC, (v,), ((v, ONE),)
-        priority[v] = 0 if v in fulfilled else 1
-    return replace(game, owners=tuple(owners), succ=tuple(succ), kernel=tuple(kernel),
-                   priority=tuple(priority), obligation=(None,) * len(game))
-
-
 def values_given_dependency(game: ObligationGame, dep: Dependency, *,
-                            witnesses: bool = True,
-                            _pre_values: Optional[Mapping[int, Fraction]] = None
-                            ) -> ObligationValueReport:
+                            witnesses: bool = True) -> ObligationValueReport:
     """Exact values of the game under a good dependency certificate.
 
-    Pre-values at obligation configurations default to the certificate's
-    own monitor values (met) or the best measure of reaching any met
+    Pre-values at obligation configurations are the certificate's own
+    monitor values (met) or the best measure of reaching any met
     obligation (unmet); ``find_best_dependency`` overrides the met ones
     with the maximum over all passing maximal certificates.
     """
@@ -353,16 +327,14 @@ def values_given_dependency(game: ObligationGame, dep: Dependency, *,
     if not report.good:
         raise InputFormatError("dependency is not good; verify it for a counterexample")
     fulfilled = dep.defined()
-    reduced = _reduced_game(game, fulfilled)
+    reduced = settle(game, {v: v in fulfilled for v in game.obligation_indices()})
     solution = solve_parity(reduced, witnesses=witnesses)
     gammas = dict(report.gamma_values)
     values = list(solution.values)
     pre = list(solution.values)
     for v in game.obligation_indices():
         values[v] = ONE if v in fulfilled else ZERO
-        if _pre_values is not None and v in _pre_values:
-            pre[v] = _pre_values[v]
-        elif v in fulfilled:
+        if v in fulfilled:
             pre[v] = gammas[v]
         else:
             pre[v] = gamma_value(game, v, _pair_universe(game, v, fulfilled))
@@ -511,9 +483,9 @@ def find_best_dependency(game: ObligationGame, *,
             break
     dep = Dependency.from_mapping(game, {
         v: (sorted(chosen_rows[v]) if v in met else None) for v in obligations})
-    report = values_given_dependency(game, dep, witnesses=witnesses,
-                                     _pre_values=best_gammas)
-    return dep, report
+    report = values_given_dependency(game, dep, witnesses=witnesses)
+    pre = tuple(best_gammas.get(v, x) for v, x in enumerate(report.pre_values))
+    return dep, replace(report, pre_values=pre)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import copy
+import functools
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -65,6 +68,8 @@ GAME_MUTATIONS = [
     lambda d: d["configurations"][0].__setitem__("owner", "player2"),
     lambda d: d["configurations"][0]["obligation"].__setitem__("threshold", "5/4"),
     lambda d: d["configurations"][0].__setitem__("id", "s2"),  # duplicate id
+    lambda d: d["configurations"][0].__setitem__("owner", ["player0"]),
+    lambda d: d["configurations"][0].__setitem__("owner", {}),
 ]
 
 
@@ -289,12 +294,14 @@ def test_non_integer_priorities_and_non_string_ids_exit_2(tmp_path, capsys, targ
     assert err.startswith("error: ") and expected in err
 
 
+# Each entry: fixture, CLI arguments before it, the path of the planted value,
+# the value, and the expected message.
 MALFORMED = {
-    "labels=5": ("fig1.chain.json", ["solve-chain"], ("locations", "labels"), 5,
+    "labels=5": ("fig1.chain.json", ["solve-chain"], ("locations", 0, "labels"), 5,
                  "labels must be an array of strings"),
-    'labels="ab"': ("fig1.chain.json", ["solve-chain"], ("locations", "labels"), "ab",
+    'labels="ab"': ("fig1.chain.json", ["solve-chain"], ("locations", 0, "labels"), "ab",
                     "labels must be an array of strings"),
-    "labels=[[1]]": ("fig1.chain.json", ["solve-chain"], ("locations", "labels"), [[1]],
+    "labels=[[1]]": ("fig1.chain.json", ["solve-chain"], ("locations", 0, "labels"), [[1]],
                      "labels must be an array of strings"),
     'state=["q1"]': ("until.paut.json", ["paut", "uniform"], ("initial",),
                      ["state", ["q1"]], "state names in formulas must be strings"),
@@ -303,6 +310,14 @@ MALFORMED = {
     'term state=["q2"]': ("until.paut.json", ["paut", "uniform"], ("initial",),
                           ["term", ["q2"], ">=", "1/2"],
                           "state names in formulas must be strings"),
+    "cases=5": ("until.paut.json", ["paut", "uniform"], ("transitions", "q1", "cases"), 5,
+                "cases of q1 must be an object"),
+    'cases=["a"]': ("until.paut.json", ["paut", "uniform"], ("transitions", "q2", "cases"),
+                    ["a"], "cases of q2 must be an object"),
+    'propositions=[["a"]]': ("until.paut.json", ["paut", "uniform"], ("propositions",),
+                             [["a"]], '"propositions" must be an array of strings'),
+    "propositions=[5]": ("until.paut.json", ["paut", "uniform"], ("propositions",), [5],
+                         '"propositions" must be an array of strings'),
 }
 
 
@@ -310,11 +325,11 @@ MALFORMED = {
 def test_malformed_labels_and_formula_states_exit_2(tmp_path, capsys, case):
     name, argv, path_in_doc, bad, expected = MALFORMED[case]
     data = json.loads(fixture_text(name))
-    if path_in_doc == ("initial",):
-        data["initial"] = bad
-    else:
-        section, key = path_in_doc
-        data[section][0][key] = bad
+    *parents, last = path_in_doc
+    holder = data
+    for key in parents:
+        holder = holder[key]
+    holder[last] = bad
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(argv + [str(path)]) == 2
@@ -340,3 +355,81 @@ def test_selftest_does_not_depend_on_asserts():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+
+
+# ---------------------------------------------------------------------------
+# Fixture fuzzing
+
+DELETE = object()
+FUZZ_CHANGES = [DELETE, None, 5, "x", [], {}, -1, 1.5, True, ["x"]]
+
+
+def value_paths(node, prefix=()):
+    """The path of every value inside a document, its provenance left out."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        if prefix or key != "provenance":
+            yield prefix + (key,)
+            yield from value_paths(child, prefix + (key,))
+
+
+def readers(kind: str, path: str, first: str) -> list[list[str]]:
+    """Every subcommand that reads a document of this kind from ``path``."""
+    if kind == "dependency":
+        return [["verify", fixture_path("fig6.game.json"), path]]
+    if kind == "pautomaton":
+        chain = fixture_path("two_location.chain.json")
+        return [["paut", "uniform", path], ["paut", "accepts", path, chain],
+                ["export-dot", path, chain]]
+    common = [["solve-game", path, "--no-witnesses"], ["export-dot", path],
+              ["decide", path, "--config", first, "--cmp", ">=", "--threshold", "1/2"]]
+    if kind == "game":
+        return common + [["verify", path, fixture_path("fig6.dependency.json")],
+                         ["oracle", path]]
+    automaton = fixture_path("until.paut.json")
+    return common + [["solve-chain", path, "--no-witnesses"],
+                     ["oracle", path, "--samples", "20"],
+                     ["paut", "accepts", automaton, path], ["export-dot", automaton, path]]
+
+
+def test_mutated_fixtures_exit_0_to_3_without_internal_errors(monkeypatch, capsys):
+    import obg.cli as cli_mod
+
+    mutants: dict[str, str] = {}
+    read = cli_mod._read
+    monkeypatch.setattr(cli_mod, "_read",
+                        lambda path: mutants[path] if path in mutants else read(path))
+    # one parser serves every run: building it would take most of the time
+    monkeypatch.setattr(cli_mod, "build_parser",
+                        functools.lru_cache(maxsize=None)(cli_mod.build_parser))
+    rng = random.Random(8)
+    failures, runs = [], 0
+    for name in ALL_FIXTURES:
+        original = json.loads(fixture_text(name))
+        entries = original.get("configurations") or original.get("locations") or [{}]
+        path = f"mutant/{name}"
+        for where in value_paths(original):
+            for change in rng.sample(FUZZ_CHANGES, 3):
+                data = copy.deepcopy(original)
+                *parents, last = where
+                holder = data
+                for key in parents:
+                    holder = holder[key]
+                if change is DELETE:
+                    del holder[last]
+                else:
+                    holder[last] = change
+                mutants[path] = json.dumps(data)
+                for argv in readers(original["kind"], path, entries[0].get("id", "")):
+                    code = main(argv)
+                    err = capsys.readouterr().err
+                    runs += 1
+                    if not 0 <= code <= 3 or "internal error" in err:
+                        failures.append((name, where, change, argv[0], code, err))
+    assert runs > 5000
+    assert failures == []

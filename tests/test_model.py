@@ -1,3 +1,5 @@
+import pickle
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +7,9 @@ import pytest
 from obg import (InputFormatError, Obligation, Owner, dual_game,
                  embed_chain_as_game, format_rational, make_chain, make_game,
                  parse_rational, solve_parity, validate)
-from obg.model import ONE, explore_game, game_from_rows
+from obg.model import (ONE, ObligationGame, explore_game, game_from_rows,
+                       restrict_choice, settle)
+from obg.parity import solve_values
 
 from conftest import load_game
 
@@ -162,3 +166,58 @@ def test_explore_game_numbers_in_discovery_order_and_expands_last_first():
     assert keys == ["r", "a", "b", "d", "c"]
     assert game.names == tuple(keys)
     assert game.succ == ((1, 2), (4,), (3,), (0,), (4,))
+
+
+def mixed_game():
+    half = F(1, 2)
+    return make_game(
+        configs=[("a", Owner.PLAYER0, 3, Obligation(">=", half)),
+                 ("b", Owner.PLAYER1, 2, None),
+                 ("c", Owner.PROBABILISTIC, 1, Obligation(">", half)),
+                 ("d", Owner.PLAYER0, 4, None)],
+        edges=[("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"),
+               ("c", "a"), ("c", "d"), ("d", "a")],
+        kernel={"c": {"a": half, "d": half}})
+
+
+def test_settle_makes_listed_configurations_absorbing_and_keeps_the_rest():
+    game = mixed_game()
+    settled = settle(game, {0: True, 2: False})
+    assert game == mixed_game()  # the argument is not touched
+    assert settled.names == game.names
+    assert settled.owners == (Owner.PROBABILISTIC, Owner.PLAYER1,
+                              Owner.PROBABILISTIC, Owner.PLAYER0)
+    assert settled.succ == ((0,), (2, 3), (2,), (0,))
+    assert settled.kernel == (((0, ONE),), None, ((2, ONE),), None)
+    assert settled.priority == (0, 2, 1, 4)
+    assert settled.obligation == (None, None, None, None)
+    assert validate(settled) == []
+    assert solve_parity(settled, witnesses=False).values[:3:2] == (ONE, F(0))
+    assert settle(game, {}) == game
+
+
+def rebuilt(game: ObligationGame) -> ObligationGame:
+    return ObligationGame(**{f.name: getattr(game, f.name) for f in fields(ObligationGame)})
+
+
+def test_equal_games_share_one_hash_and_one_cache_entry():
+    first, second = load_game("parity_demo.game.json"), load_game("parity_demo.game.json")
+    assert first is not second and first == second
+    assert hash(first) == hash(second) == hash(tuple(
+        getattr(first, f.name) for f in fields(ObligationGame)))
+    solve_values.cache_clear()
+    solve_values(first)
+    solve_values(second)
+    info = solve_values.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_derived_copies_hash_like_fresh_games():
+    game = mixed_game()
+    hash(game)  # caches the hash on the original
+    for copy in (settle(game, {0: True}), restrict_choice(game, {0: 2}), dual_game(game)):
+        assert copy != game
+        assert hash(copy) == hash(rebuilt(copy))
+    unpickled = pickle.loads(pickle.dumps(game))
+    assert "_hash" not in vars(unpickled)
+    assert unpickled == game and hash(unpickled) == hash(game)

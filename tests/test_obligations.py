@@ -12,9 +12,11 @@ from obg import (BudgetExceededError, Dependency, InputFormatError,
                  make_chain, solve_chain_obligations, solve_parity,
                  value_of_prefix, values_given_dependency, verify_dependency)
 from obg.budgets import Budgets
+from obg.chains import min_priority_monitor_product
 from obg.generators import random_game
-from obg.model import ONE, ZERO, ObligationGame
-from obg.obligations import find_odd_cycle
+from obg.model import ONE, ZERO, ObligationGame, Owner, game_from_rows
+from obg.obligations import find_odd_cycle, reachable_pairs
+from obg.parity import solve_values
 
 from conftest import load_chain_doc, load_game
 
@@ -117,7 +119,46 @@ def test_gamma_fig4_empty_set():
 def test_gamma_game_size_bound(fig6):
     s1 = fig6.index("s1")
     gamma, _ = build_gamma_game(fig6, s1, {(s1, 0)})
-    assert len(gamma) <= len(fig6) * (fig6.max_priority() + 1) + 2
+    assert len(gamma) <= len(fig6) * (fig6.max_priority() + 1) + 1
+
+
+def gamma_with_sinks(game, start, pairs):
+    """Reference gamma game: every frozen monitor node moves to an absorbing
+    WIN sink (priority 0) if its pair is chosen, else to a LOSE sink."""
+    monitor = min_priority_monitor_product(game, start)
+    base = monitor.product
+    win, lose = len(base), len(base) + 1
+    redirect = {node: win if (config, m) in pairs else lose
+                for node, config, m in monitor.frozen}
+    rows = []
+    for v, row in enumerate(base.kernel):
+        if row is None:
+            moves = [redirect.get(t, t) for t in base.succ[v]]
+        else:
+            moves = [(redirect.get(t, t), p) for t, p in row]
+        rows.append((base.names[v], base.owners[v], base.priority[v], None, moves))
+    rows.append(("WIN", Owner.PROBABILISTIC, 0, None, [(win, ONE)]))
+    rows.append(("LOSE", Owner.PROBABILISTIC, 1, None, [(lose, ONE)]))
+    return game_from_rows(rows), monitor.start
+
+
+def test_gamma_value_matches_the_sink_construction():
+    rng = random.Random(808)
+    checked = 0
+    for _ in range(60):
+        base = random_game(rng, max_configs=8, max_obligations=3)
+        for game in (base, dual_game(base)):
+            for v in game.obligation_indices():
+                pairs = sorted(reachable_pairs(game, v))
+                for chosen in (pairs, [], pairs[::2], pairs[1::2]):
+                    reference, root = gamma_with_sinks(game, v, set(chosen))
+                    gamma, start = build_gamma_game(game, v, chosen)
+                    assert start == root
+                    assert gamma.names + ("WIN", "LOSE") == reference.names
+                    assert len(gamma) <= len(game) * (game.max_priority() + 1) + 1
+                    assert gamma_value(game, v, chosen) == solve_values(reference)[root]
+                    checked += 1
+    assert checked > 500
 
 
 # ---------------------------------------------------------------------------
