@@ -320,13 +320,17 @@ def cmd_selftest(args, run: RunConfiguration) -> int:
 # Argument parsing
 
 
-def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-obligations", type=int, default=None,
-                        help="dependency-search budget (default 10)")
-    parser.add_argument("--max-priority", type=int, default=None,
-                        help="largest priority the dependency search accepts (default 4)")
-    parser.add_argument("--max-strategy-pairs", type=int, default=None,
-                        help="strategy-pair budget of the brute-force oracle (default 4096)")
+_BUDGET_FLAGS = {
+    "--max-obligations": "dependency-search budget (default 10)",
+    "--max-priority": "largest priority the dependency search accepts (default 4)",
+    "--max-strategy-pairs": "strategy-pair budget of the brute-force oracle (default 4096)",
+}
+_SEARCH_BUDGETS = ("--max-obligations", "--max-priority")
+
+
+def _add_budget_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, type=int, default=None, help=_BUDGET_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,20 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--no-witnesses", action="store_true")
-    _add_budget_flags(p)
+    _add_budget_flags(p, *_SEARCH_BUDGETS)
     p.set_defaults(func=cmd_solve_game)
 
     p = sub.add_parser("solve-chain", help="solve a chain file with priorities/obligations")
     p.add_argument("chain")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--no-witnesses", action="store_true")
-    _add_budget_flags(p)
+    _add_budget_flags(p, *_SEARCH_BUDGETS)
     p.set_defaults(func=cmd_solve_chain)
 
     p = sub.add_parser("verify", help="check a dependency certificate")
     p.add_argument("game")
     p.add_argument("dependency")
-    _add_budget_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decide", help="decide value(configuration) cmp threshold")
@@ -361,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--cmp", choices=(">=", ">"), required=True)
     p.add_argument("--threshold", required=True)
-    _add_budget_flags(p)
+    _add_budget_flags(p, *_SEARCH_BUDGETS)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("paut", help="p-automaton commands")
@@ -369,11 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa = psub.add_parser("accepts", help="does the automaton accept the chain?")
     pa.add_argument("automaton")
     pa.add_argument("chain")
-    _add_budget_flags(pa)
+    _add_budget_flags(pa, *_SEARCH_BUDGETS)
     pa.set_defaults(func=cmd_paut)
     pu = psub.add_parser("uniform", help="is the automaton uniform?")
     pu.add_argument("automaton")
-    _add_budget_flags(pu)
     pu.set_defaults(func=cmd_paut)
 
     p = sub.add_parser("export-dot", help="render a game, chain or product as DOT")
@@ -386,13 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="obligation-free game file, or chain file for Monte-Carlo")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    _add_budget_flags(p)
+    _add_budget_flags(p, "--max-strategy-pairs")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("selftest", help="run the bundled quick checks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=10)
-    _add_budget_flags(p)
+    _add_budget_flags(p, *_BUDGET_FLAGS)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -51,13 +51,9 @@ class GameDocument:
     provenance: Optional[dict]
 
 
-def _fail(message: str) -> "InputFormatError":
-    return InputFormatError(message)
-
-
 def _identifier(entry: Any, what: str) -> str:
     if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-        raise _fail(f'every {what} needs a string "id"')
+        raise InputFormatError(f'every {what} needs a string "id"')
     return entry["id"]
 
 
@@ -65,11 +61,11 @@ def loads(text: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        raise InputFormatError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(data, dict):
-        raise _fail("top-level JSON value must be an object")
+        raise InputFormatError("top-level JSON value must be an object")
     if data.get("format") != FORMAT:
-        raise _fail(f'missing or unsupported "format" (expected "{FORMAT}")')
+        raise InputFormatError(f'missing or unsupported "format" (expected "{FORMAT}")')
     return data
 
 
@@ -81,9 +77,9 @@ def _parse_obligation(raw: Any, where: str) -> Optional[Obligation]:
     if raw is None:
         return None
     if not isinstance(raw, dict) or set(raw) != {"cmp", "threshold"}:
-        raise _fail(f'{where}: obligation must be null or {{"cmp", "threshold"}}')
+        raise InputFormatError(f'{where}: obligation must be null or {{"cmp", "threshold"}}')
     if raw["cmp"] not in (GE, GT):
-        raise _fail(f"{where}: obligation comparator must be '>=' or '>'")
+        raise InputFormatError(f"{where}: obligation comparator must be '>=' or '>'")
     return Obligation(raw["cmp"], parse_rational(raw["threshold"]))
 
 
@@ -95,11 +91,11 @@ def _obligation_json(ob: Optional[Obligation]) -> Any:
 
 def _parse_row(raw: Any, known: Container[str], where: str) -> dict[str, Fraction]:
     if not isinstance(raw, dict) or not raw:
-        raise _fail(f"{where}: transition row must be a non-empty object")
+        raise InputFormatError(f"{where}: transition row must be a non-empty object")
     row = {}
     for target, p in raw.items():
         if target not in known:
-            raise _fail(f"{where}: unknown target {target!r}")
+            raise InputFormatError(f"{where}: unknown target {target!r}")
         row[target] = parse_rational(p)
     return row
 
@@ -111,10 +107,10 @@ def _parse_row(raw: Any, known: Container[str], where: str) -> dict[str, Fractio
 def parse_chain_document(text: str) -> ChainDocument:
     data = loads(text)
     if data.get("kind") != "chain":
-        raise _fail('expected "kind": "chain"')
+        raise InputFormatError('expected "kind": "chain"')
     locations = data.get("locations")
     if not isinstance(locations, list) or not locations:
-        raise _fail('"locations" must be a non-empty list')
+        raise InputFormatError('"locations" must be a non-empty list')
     names = []
     labels = {}
     priorities = []
@@ -125,7 +121,7 @@ def parse_chain_document(text: str) -> ChainDocument:
         names.append(name)
         raw_labels = entry.get("labels", [])
         if not (isinstance(raw_labels, list) and all(isinstance(a, str) for a in raw_labels)):
-            raise _fail(f"location {name}: labels must be an array of strings")
+            raise InputFormatError(f"location {name}: labels must be an array of strings")
         labels[name] = sorted(raw_labels)
         if "priority" in entry and entry["priority"] is not None:
             has_priorities = True
@@ -134,21 +130,21 @@ def parse_chain_document(text: str) -> ChainDocument:
             priorities.append(None)
         obligations.append(_parse_obligation(entry.get("obligation"), f"location {name}"))
     if has_priorities and any(p is None for p in priorities):
-        raise _fail("either all locations carry a priority or none does")
+        raise InputFormatError("either all locations carry a priority or none does")
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
-        raise _fail("duplicate location ids")
+        raise InputFormatError("duplicate location ids")
     transitions = data.get("transitions")
     if not isinstance(transitions, dict):
-        raise _fail('"transitions" must be an object')
+        raise InputFormatError('"transitions" must be an object')
     rows = {}
     for name in names:
         if name not in transitions:
-            raise _fail(f"no transition row for location {name}")
+            raise InputFormatError(f"no transition row for location {name}")
         rows[name] = _parse_row(transitions[name], index, f"transitions of {name}")
     initial = data.get("initial")
     if not isinstance(initial, str) or initial not in index:
-        raise _fail('"initial" must name a location')
+        raise InputFormatError('"initial" must name a location')
     chain = LabeledMarkovChain(
         names=tuple(names),
         succ=tuple(tuple(sorted((index[t], p) for t, p in rows[n].items()))
@@ -158,7 +154,7 @@ def parse_chain_document(text: str) -> ChainDocument:
     )
     problems = validate_chain(chain)
     if problems:
-        raise _fail("invalid chain: " + "; ".join(problems))
+        raise InputFormatError("invalid chain: " + "; ".join(problems))
     return ChainDocument(
         chain=chain,
         priority=tuple(priorities) if has_priorities else None,
@@ -204,46 +200,46 @@ _OWNERS = {o.value: o for o in Owner}
 def parse_game_document(text: str) -> GameDocument:
     data = loads(text)
     if data.get("kind") != "game":
-        raise _fail('expected "kind": "game"')
+        raise InputFormatError('expected "kind": "game"')
     configurations = data.get("configurations")
     if not isinstance(configurations, list) or not configurations:
-        raise _fail('"configurations" must be a non-empty list')
+        raise InputFormatError('"configurations" must be a non-empty list')
     configs, names = [], []
     for entry in configurations:
         name = _identifier(entry, "configuration")
         names.append(name)
         owner = entry.get("owner")
         if not isinstance(owner, str) or owner not in _OWNERS:
-            raise _fail(f"configuration {name}: owner must be one of {sorted(_OWNERS)}")
+            raise InputFormatError(f"configuration {name}: owner must be one of {sorted(_OWNERS)}")
         if "priority" not in entry:
-            raise _fail(f"configuration {name}: missing priority")
+            raise InputFormatError(f"configuration {name}: missing priority")
         configs.append((name, _OWNERS[owner],
                         require_int(entry["priority"], f"configuration {name}: priority"),
                         _parse_obligation(entry.get("obligation"), f"configuration {name}")))
     known = set(names)
     if len(known) != len(names):
-        raise _fail("duplicate configuration ids")
+        raise InputFormatError("duplicate configuration ids")
     edges_raw = data.get("edges")
     if not isinstance(edges_raw, list):
-        raise _fail('"edges" must be a list of [source, target] pairs')
+        raise InputFormatError('"edges" must be a list of [source, target] pairs')
     for pair in edges_raw:
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise _fail("every edge must be a [source, target] pair")
+            raise InputFormatError("every edge must be a [source, target] pair")
         a, b = pair
         if not (isinstance(a, str) and isinstance(b, str)) or a not in known or b not in known:
-            raise _fail(f"edge {pair} mentions an unknown configuration")
+            raise InputFormatError(f"edge {pair} mentions an unknown configuration")
     kernel_raw = data.get("kernel", {})
     if not isinstance(kernel_raw, dict):
-        raise _fail('"kernel" must be an object')
+        raise InputFormatError('"kernel" must be an object')
     kernel = {}
     for name, row in kernel_raw.items():
         if name not in known:
-            raise _fail(f"kernel mentions unknown configuration {name!r}")
+            raise InputFormatError(f"kernel mentions unknown configuration {name!r}")
         kernel[name] = _parse_row(row, known, f"kernel of {name}")
     game = make_game(configs, edges_raw, kernel)
     problems = validate(game)
     if problems:
-        raise _fail("invalid game: " + "; ".join(problems))
+        raise InputFormatError("invalid game: " + "; ".join(problems))
     return GameDocument(game=game, provenance=data.get("provenance"))
 
 
@@ -284,10 +280,10 @@ def serialize_game_document(doc: GameDocument) -> str:
 def parse_dependency_document(text: str, game: ObligationGame) -> Dependency:
     data = loads(text)
     if data.get("kind") != "dependency":
-        raise _fail('expected "kind": "dependency"')
+        raise InputFormatError('expected "kind": "dependency"')
     deps = data.get("dependencies")
     if not isinstance(deps, dict):
-        raise _fail('"dependencies" must be an object')
+        raise InputFormatError('"dependencies" must be an object')
     mapping: dict[int, Optional[list[tuple[int, int]]]] = {}
     for name, row in deps.items():
         v = game.index(name)
@@ -295,11 +291,11 @@ def parse_dependency_document(text: str, game: ObligationGame) -> Dependency:
             mapping[v] = None
             continue
         if not isinstance(row, list):
-            raise _fail(f"dependency of {name} must be null or a list of pairs")
+            raise InputFormatError(f"dependency of {name} must be null or a list of pairs")
         pairs = []
         for item in row:
             if not (isinstance(item, list) and len(item) == 2):
-                raise _fail(f"dependency of {name}: entries must be [target, priority] pairs")
+                raise InputFormatError(f"dependency of {name}: entries must be [target, priority] pairs")
             pairs.append((game.index(item[0]),
                           require_int(item[1], f"dependency of {name}: priority")))
         mapping[v] = pairs
@@ -328,29 +324,29 @@ def serialize_dependency_document(dep: Dependency, game: ObligationGame) -> str:
 
 def _parse_formula(raw: Any, where: str) -> Formula:
     if not (isinstance(raw, list) and raw and isinstance(raw[0], str)):
-        raise _fail(f"{where}: formula nodes are non-empty arrays headed by a tag")
+        raise InputFormatError(f"{where}: formula nodes are non-empty arrays headed by a tag")
     tag = raw[0]
     if tag in ("state", "term") and len(raw) > 1 and not isinstance(raw[1], str):
-        raise _fail(f"{where}: state names in formulas must be strings")
+        raise InputFormatError(f"{where}: state names in formulas must be strings")
     if tag == "tt":
         return TT
     if tag == "ff":
         return FF
     if tag == "state":
         if len(raw) != 2:
-            raise _fail(f"{where}: [\"state\", name]")
+            raise InputFormatError(f"{where}: [\"state\", name]")
         return StateAtom(raw[1])
     if tag == "term":
         if len(raw) != 4 or raw[2] not in (GE, GT):
-            raise _fail(f"{where}: [\"term\", state, \">=\"|\">\", bound]")
+            raise InputFormatError(f"{where}: [\"term\", state, \">=\"|\">\", bound]")
         return Term(raw[1], raw[2], parse_rational(raw[3]))
     if tag in ("and", "or"):
         if len(raw) != 3:
-            raise _fail(f"{where}: [\"{tag}\", left, right]")
+            raise InputFormatError(f"{where}: [\"{tag}\", left, right]")
         left = _parse_formula(raw[1], where)
         right = _parse_formula(raw[2], where)
         return And(left, right) if tag == "and" else Or(left, right)
-    raise _fail(f"{where}: unknown formula tag {tag!r}")
+    raise InputFormatError(f"{where}: unknown formula tag {tag!r}")
 
 
 def formula_json(f: Formula) -> list:
@@ -379,42 +375,42 @@ def _parse_letter(key: str, propositions: Sequence[str], where: str) -> frozense
     parts = key.split(",")
     for p in parts:
         if p not in propositions:
-            raise _fail(f"{where}: unknown proposition {p!r}")
+            raise InputFormatError(f"{where}: unknown proposition {p!r}")
     return frozenset(parts)
 
 
 def parse_automaton_document(text: str) -> PAutomaton:
     data = loads(text)
     if data.get("kind") != "pautomaton":
-        raise _fail('expected "kind": "pautomaton"')
+        raise InputFormatError('expected "kind": "pautomaton"')
     propositions = data.get("propositions")
     if not (isinstance(propositions, list) and all(isinstance(p, str) for p in propositions)):
-        raise _fail('"propositions" must be an array of strings')
+        raise InputFormatError('"propositions" must be an array of strings')
     states_raw = data.get("states")
     if not isinstance(states_raw, list) or not states_raw:
-        raise _fail('"states" must be a non-empty list')
+        raise InputFormatError('"states" must be a non-empty list')
     states, priority = [], {}
     for entry in states_raw:
         name = _identifier(entry, "state")
         if "priority" not in entry:
-            raise _fail(f"state {name}: missing priority")
+            raise InputFormatError(f"state {name}: missing priority")
         states.append(name)
         priority[name] = require_int(entry["priority"], f"state {name}: priority")
     transitions = data.get("transitions", {})
     if not isinstance(transitions, dict):
-        raise _fail('"transitions" must be an object')
+        raise InputFormatError('"transitions" must be an object')
     cases: dict[str, dict[frozenset[str], Formula]] = {}
     default: dict[str, Formula] = {q: FF for q in states}
     for q, table in transitions.items():
         if q not in states:
-            raise _fail(f"transitions mention unknown state {q!r}")
+            raise InputFormatError(f"transitions mention unknown state {q!r}")
         if not isinstance(table, dict):
-            raise _fail(f"transitions of {q} must be an object")
+            raise InputFormatError(f"transitions of {q} must be an object")
         if "default" in table:
             default[q] = _parse_formula(table["default"], f"default of {q}")
         table_cases = table.get("cases", {})
         if not isinstance(table_cases, dict):
-            raise _fail(f"cases of {q} must be an object")
+            raise InputFormatError(f"cases of {q} must be an object")
         cases[q] = {}
         for key, raw in table_cases.items():
             letter = _parse_letter(key, propositions, f"transition of {q}")
@@ -425,7 +421,7 @@ def parse_automaton_document(text: str) -> PAutomaton:
                      initial=initial)
     problems = validate_automaton(aut)
     if problems:
-        raise _fail("invalid automaton: " + "; ".join(problems))
+        raise InputFormatError("invalid automaton: " + "; ".join(problems))
     return aut
 
 
@@ -465,5 +461,5 @@ def detect_kind(text: str) -> str:
     data = loads(text)
     kind = data.get("kind")
     if kind not in ("chain", "game", "dependency", "pautomaton"):
-        raise _fail(f'unknown document kind {kind!r}')
+        raise InputFormatError(f'unknown document kind {kind!r}')
     return kind

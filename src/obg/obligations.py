@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -42,7 +43,6 @@ from .budgets import DEFAULT_BUDGETS, Budgets
 from .chains import MonitorProduct, min_priority_monitor_product
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError)
-from .graphs import tarjan_scc
 from .model import (ONE, ZERO, LabeledMarkovChain, Obligation, ObligationGame,
                     dual_game, embed_chain_as_game, format_rational, settle)
 from .parity import ValueVector, solve_parity, solve_values
@@ -229,50 +229,33 @@ def check_condition1(game: ObligationGame, dep: Dependency) -> tuple[bool, Optio
 def find_odd_cycle(edges: Sequence[tuple[int, int, int]]) -> Optional[tuple[tuple[int, int, int], ...]]:
     """A cycle whose minimal label is odd, or None.
 
-    For each odd label i, restrict to edges labelled >= i and look for
-    an i-labelled edge inside a strongly connected component; such an
-    edge closes a cycle with minimum exactly i.
+    For each odd label i, ascending, and each i-labelled edge (v, u, i),
+    in sorted order, search breadth-first from u over the edges labelled
+    >= i; the first edge whose search reaches v closes a cycle with
+    minimum exactly i, completed by the search's path from u to v.
     """
-    labels = sorted({i for _, _, i in edges if i % 2 == 1})
-    nodes = sorted({v for v, _, _ in edges} | {u for _, u, _ in edges})
-    pos = {v: i for i, v in enumerate(nodes)}
-    for i in labels:
-        sub = [e for e in edges if e[2] >= i]
-        adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in nodes}
-        for e in sub:
-            adj[e[0]].append(e)
-        comps = tarjan_scc(len(nodes), lambda x: (pos[e[1]] for e in adj[nodes[x]]))
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for x in comp:
-                comp_of[nodes[x]] = ci
-        for e in sorted(sub):
-            v, u, lab = e
-            if lab == i and comp_of[v] == comp_of[u]:
-                if u == v:
-                    return (e,)
-                # close the cycle with a path u -> v inside the component
-                parent: dict[int, tuple[int, int, int]] = {}
-                frontier = [u]
-                seen = {u}
-                while frontier:
-                    x = frontier.pop(0)
-                    if x == v:
-                        break
-                    for e2 in adj[x]:
-                        y = e2[1]
-                        if comp_of.get(y) == comp_of[v] and y not in seen:
-                            seen.add(y)
-                            parent[y] = e2
-                            frontier.append(y)
+    for i in sorted({lab for _, _, lab in edges if lab % 2 == 1}):
+        adj: dict[int, list[tuple[int, int, int]]] = {}
+        for e in edges:
+            if e[2] >= i:
+                adj.setdefault(e[0], []).append(e)
+        for e in sorted(e for e in edges if e[2] == i):
+            v, u, _ = e
+            parent: dict[int, tuple[int, int, int]] = {}
+            seen, frontier = {u}, deque([u])
+            while frontier and v not in seen:
+                for e2 in adj.get(frontier.popleft(), ()):
+                    if e2[1] not in seen:
+                        seen.add(e2[1])
+                        parent[e2[1]] = e2
+                        frontier.append(e2[1])
+            if v in seen:
                 path = []
                 x = v
                 while x != u:
-                    e2 = parent[x]
-                    path.append(e2)
-                    x = e2[0]
-                path.reverse()
-                return (e, *path)
+                    path.append(parent[x])
+                    x = parent[x][0]
+                return (e, *reversed(path))
     return None
 
 

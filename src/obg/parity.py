@@ -29,8 +29,8 @@ run:
 The qualitative analysis rests on one trap fixpoint, ``_sure_safe``:
 a positive attractor is the complement of the opponent's sure-safe
 region, and end components are pruned by the controller's.  Strategies
-are fixed through ``model.restrict_choice``, and ``solve_values`` is
-memoized per game by ``functools.lru_cache``.
+are fixed through ``model.restrict_choice``.  The solvers keep nothing
+between calls: each call solves its game afresh.
 
 Reported witness strategies are canonical so both solvers return the
 same object: the lexicographically first optimal strategy (by
@@ -40,7 +40,8 @@ unchanged.  Only successors with the configuration's own value are
 tried, and the last of them is taken without a re-solve: optimal pure
 memoryless strategies exist in every restriction that keeps the values,
 so when all earlier ones change the values the last one keeps them.
-The finished restriction is re-solved once to check this.  The climb's
+The finished restriction is re-solved once to check this, unless it
+equals the last re-solved restriction that kept them.  The climb's
 starting strategy is chosen the same way, keeping the almost-sure region
 (``_first_keeping_choices``).  Enumeration in the oracle may be
 parallelized over Player-0 strategies as long as this deterministic
@@ -340,7 +341,9 @@ def _first_keeping_choices(game: ObligationGame, configs: Iterable[int],
                            what: str) -> dict[int, int]:
     """Fix each of `configs` in turn to its first candidate successor whose
     restriction, on top of the choices fixed so far, still `keeps` the
-    property `what`; the finished restriction is tested once.
+    property `what`; the finished restriction is tested once more unless
+    it equals the last restriction that passed a test, that is, unless
+    every choice fixed since then is a configuration's only successor.
 
     Callers guarantee that `candidates` contains every successor that can
     keep the property and that, in any restriction keeping it, some
@@ -348,17 +351,23 @@ def _first_keeping_choices(game: ObligationGame, configs: Iterable[int],
     candidate which keeps the property, so when every earlier candidate
     fails the last one is taken untested.  Restricting further never
     restores a lost property, so a wrong choice anywhere also fails the
-    final test.
+    final test.  Before any test passes, the reference restriction is the
+    input game, which keeps the property by the callers' contract.
     """
     choices: dict[int, int] = {}
+    changed = False  # the restriction differs from the last one that passed
     for v in configs:
         options = candidates(v)
         if not options:
             raise InternalInvariantError(f"no choice at {game.names[v]} keeps {what}")
-        choices[v] = next((u for u in options[:-1]
-                           if keeps(restrict_choice(game, {**choices, v: u}))),
-                          options[-1])
-    if choices and not keeps(restrict_choice(game, choices)):
+        for u in options[:-1]:
+            if keeps(restrict_choice(game, {**choices, v: u})):
+                choices[v], changed = u, False
+                break
+        else:
+            choices[v] = options[-1]
+            changed |= len(game.succ[v]) > 1
+    if changed and not keeps(restrict_choice(game, choices)):
         raise InternalInvariantError(f"the fixed choices do not keep {what}")
     return choices
 
@@ -423,7 +432,6 @@ def _enumerate_side(game: ObligationGame) -> Values:
                              for sigma in _strategies(game, Owner.PLAYER0)))
 
 
-@functools.lru_cache(maxsize=65536)
 def solve_values(game: ObligationGame) -> Values:
     """Exact Player-0 values of an obligation-free stochastic parity game.
 
@@ -432,7 +440,6 @@ def solve_values(game: ObligationGame) -> Values:
     to one (determinacy), or an exhaustive positional enumeration of one
     player.  A bound gap that enumeration cannot close within the cap
     raises BudgetExceededError; nothing unproven is ever returned.
-    Results are memoized per game (``solve_values.cache_clear()``).
     """
     _require_parity_game(game)
     if game.is_chain():

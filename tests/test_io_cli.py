@@ -209,6 +209,16 @@ def test_cli_budget_exit_code(monkeypatch):
     assert main(["solve-game", fixture_path("fig6_s4_geq.game.json")]) == 3
 
 
+def test_cli_budget_flags_only_where_they_act():
+    assert main(["solve-game", fixture_path("fig6.game.json"), "--max-priority", "3"]) == 3
+    assert main(["oracle", fixture_path("parity_demo.game.json"),
+                 "--max-strategy-pairs", "1"]) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", fixture_path("fig6.game.json"),
+              fixture_path("fig6.dependency.json"), "--max-priority", "4"])
+    assert exc.value.code == 2
+
+
 def test_cli_internal_invariant_exit_code(monkeypatch, capsys):
     import obg.cli as cli_mod
     from obg.errors import InternalInvariantError

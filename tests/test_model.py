@@ -9,7 +9,7 @@ from obg import (InputFormatError, Obligation, Owner, dual_game,
                  parse_rational, solve_parity, validate)
 from obg.model import (ONE, ObligationGame, explore_game, game_from_rows,
                        restrict_choice, settle)
-from obg.parity import solve_values
+import obg.obligations as obligations
 
 from conftest import load_game
 
@@ -201,14 +201,15 @@ def rebuilt(game: ObligationGame) -> ObligationGame:
 
 
 def test_equal_games_share_one_hash_and_one_cache_entry():
-    first, second = load_game("parity_demo.game.json"), load_game("parity_demo.game.json")
+    first, second = load_game("fig6.game.json"), load_game("fig6.game.json")
     assert first is not second and first == second
     assert hash(first) == hash(second) == hash(tuple(
         getattr(first, f.name) for f in fields(ObligationGame)))
-    solve_values.cache_clear()
-    solve_values(first)
-    solve_values(second)
-    info = solve_values.cache_info()
+    start = first.index("s1")
+    obligations._gamma_value.cache_clear()
+    for game in (first, second):
+        obligations.gamma_value(game, start, obligations.reachable_pairs(game, start))
+    info = obligations._gamma_value.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 

@@ -14,6 +14,7 @@ from obg import (BudgetExceededError, Dependency, InputFormatError,
 from obg.budgets import Budgets
 from obg.chains import min_priority_monitor_product
 from obg.generators import random_game
+from obg.graphs import tarjan_scc
 from obg.model import ONE, ZERO, ObligationGame, Owner, game_from_rows
 from obg.obligations import find_odd_cycle, reachable_pairs
 from obg.parity import solve_values
@@ -79,6 +80,61 @@ def test_find_odd_cycle_mixed_labels():
     # 1-2 alternation has odd minimum; adding a 0 on one edge repairs it
     assert find_odd_cycle([(0, 1, 1), (1, 0, 2)]) is not None
     assert find_odd_cycle([(0, 1, 0), (1, 0, 1)]) is None
+
+
+def scc_odd_cycle(edges):
+    """The earlier find_odd_cycle, one SCC pass per odd label: for each
+    odd label i, an i-labelled edge inside a component of the edges
+    labelled >= i closes a cycle, completed by a breadth-first path
+    inside that component."""
+    labels = sorted({i for _, _, i in edges if i % 2 == 1})
+    nodes = sorted({v for v, _, _ in edges} | {u for _, u, _ in edges})
+    pos = {v: i for i, v in enumerate(nodes)}
+    for i in labels:
+        sub = [e for e in edges if e[2] >= i]
+        adj = {v: [] for v in nodes}
+        for e in sub:
+            adj[e[0]].append(e)
+        comps = tarjan_scc(len(nodes), lambda x: (pos[e[1]] for e in adj[nodes[x]]))
+        comp_of = {nodes[x]: ci for ci, comp in enumerate(comps) for x in comp}
+        for e in sorted(sub):
+            v, u, lab = e
+            if lab == i and comp_of[v] == comp_of[u]:
+                if u == v:
+                    return (e,)
+                parent, frontier, seen = {}, [u], {u}
+                while frontier:
+                    x = frontier.pop(0)
+                    if x == v:
+                        break
+                    for e2 in adj[x]:
+                        y = e2[1]
+                        if comp_of.get(y) == comp_of[v] and y not in seen:
+                            seen.add(y)
+                            parent[y] = e2
+                            frontier.append(y)
+                path, x = [], v
+                while x != u:
+                    path.append(parent[x])
+                    x = parent[x][0]
+                return (e, *reversed(path))
+    return None
+
+
+def test_find_odd_cycle_matches_the_scc_pass():
+    rng = random.Random(20)
+    found = 0
+    for _ in range(2500):
+        nodes = rng.randint(1, 7)
+        edges = [(rng.randrange(nodes), rng.randrange(nodes), rng.randint(0, 5))
+                 for _ in range(rng.randint(0, 14))]
+        if edges and rng.random() < 0.3:  # a parallel edge with another label
+            v, u, lab = rng.choice(edges)
+            edges.insert(rng.randrange(len(edges) + 1), (v, u, (lab + rng.randint(1, 5)) % 6))
+        cycle = find_odd_cycle(edges)
+        assert cycle == scc_odd_cycle(edges)
+        found += cycle is not None
+    assert 500 < found < 2000
 
 
 def test_condition3_fig6(fig6):

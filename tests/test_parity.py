@@ -1,5 +1,8 @@
+import gc
 import itertools
 import random
+import weakref
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -177,17 +180,13 @@ def test_enumeration_fallback_stays_exact(monkeypatch):
     # fallback must reconstruct the values on its own
     monkeypatch.setattr(parity_mod, "_climb",
                         lambda game: tuple(ZERO for _ in game.names))
-    parity_mod.solve_values.cache_clear()
     rng = random.Random(21)
-    try:
-        for _ in range(10):
-            game = random_parity_game(rng)
-            if game.is_chain():
-                continue
-            assert solve_parity(game, witnesses=False).values == \
-                solve_parity_oracle(game, witnesses=False).values
-    finally:
-        parity_mod.solve_values.cache_clear()
+    for _ in range(10):
+        game = random_parity_game(rng)
+        if game.is_chain():
+            continue
+        assert solve_parity(game, witnesses=False).values == \
+            solve_parity_oracle(game, witnesses=False).values
 
 
 # ---------------------------------------------------------------------------
@@ -386,4 +385,39 @@ def test_canonical_strategy_needs_fewer_solves_than_the_naive_loop():
     calls.clear()
     naive = [naive_canonical_strategy(game, values, p, counting) for p in (0, 1)]
     assert fast == naive
-    assert (fast_calls, len(calls)) == (3, 7)
+    assert (fast_calls, len(calls)) == (2, 7)
+
+
+def test_initial_sigma_skips_the_final_test_after_a_passing_one(monkeypatch):
+    # Both configurations win almost surely.  At a the odd self-loop is
+    # tested and fails, so b is taken untested; at b the self-loop-free
+    # choice a is tested and passes, which tests the finished restriction.
+    game = make_game([("a", Owner.PLAYER0, 1, None), ("b", Owner.PLAYER0, 0, None)],
+                     [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")], {})
+    as_region, depth, top_calls = parity_mod._as_region, [0], []
+
+    def counting(trial, sub):
+        top_calls.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return as_region(trial, sub)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(parity_mod, "_as_region", counting)
+    assert parity_mod._initial_sigma(game) == {0: 1, 1: 0}
+    # one call for the region plus one per tested candidate (a->a, b->a)
+    assert sum(top_calls) == 1 + 2
+
+
+def test_solved_games_can_be_garbage_collected():
+    # Names no other test uses, so no equal game was solved before.
+    game = random_parity_game(random.Random(3), max_configs=8)
+    game = replace(game, names=tuple(f"collectable{i}" for i in range(len(game))))
+    assert not game.is_chain()
+    ref = weakref.ref(game)
+    parity_mod.solve_values(game)
+    solve_parity(game)
+    del game
+    gc.collect()
+    assert ref() is None
