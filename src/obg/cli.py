@@ -54,7 +54,8 @@ class RunConfiguration:
             budgets=budgets_from_env().override(
                 max_obligations=getattr(args, "max_obligations", None),
                 max_priority=getattr(args, "max_priority", None),
-                max_strategy_pairs=getattr(args, "max_strategy_pairs", None)),
+                max_strategy_pairs=getattr(args, "max_strategy_pairs", None),
+                max_dependency_nodes=getattr(args, "max_dependency_nodes", None)),
             output_format=getattr(args, "format", "table"),
             seed=getattr(args, "seed", 0),
             witnesses=not getattr(args, "no_witnesses", False))
@@ -324,8 +325,9 @@ _BUDGET_FLAGS = {
     "--max-obligations": "dependency-search budget (default 10)",
     "--max-priority": "largest priority the dependency search accepts (default 4)",
     "--max-strategy-pairs": "strategy-pair budget of the brute-force oracle (default 4096)",
+    "--max-dependency-nodes": "node budget of the dependency search (default 20000)",
 }
-_SEARCH_BUDGETS = ("--max-obligations", "--max-priority")
+_SEARCH_BUDGETS = ("--max-obligations", "--max-priority", "--max-dependency-nodes")
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser, *flags: str) -> None:

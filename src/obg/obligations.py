@@ -491,6 +491,9 @@ def decide_value(game: ObligationGame, config: int, cmp: str, threshold: Fractio
     refused (InternalInvariantError) unless the two value vectors sum to
     one at every configuration.
     """
+    if not 0 <= config < len(game):
+        raise InputFormatError(
+            f"configuration index {config} is out of range for {len(game)} configurations")
     if not (ZERO <= threshold <= ONE):
         raise InputFormatError("threshold must lie in [0,1]")
     ob = Obligation(cmp, threshold)  # reuse comparator validation

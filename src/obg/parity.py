@@ -26,11 +26,15 @@ run:
   of whichever player has fewer (exact by positional determinacy),
   within a budget.
 
-The qualitative analysis rests on one trap fixpoint, ``_sure_safe``:
-a positive attractor is the complement of the opponent's sure-safe
-region, and end components are pruned by the controller's.  Strategies
-are fixed through ``model.restrict_choice``.  The solvers keep nothing
-between calls: each call solves its game afresh.
+The qualitative analysis rests on one trap fixpoint, ``_sure_safe``, a
+worklist over predecessor lists and successor counters built per call,
+so each call is O(E) in the edges of the set it traps.  A positive
+attractor is the complement of the opponent's sure-safe region, and
+maximal end components are refined one SCC at a time: trap a part with
+the controller's ``_sure_safe``, split the trap into its SCCs, and keep
+a part that is its own trap.  Strategies are fixed through
+``model.restrict_choice``.  The solvers keep nothing between calls: each
+call solves its game afresh.
 
 Reported witness strategies are canonical so both solvers return the
 same object: the lexicographically first optimal strategy (by
@@ -122,20 +126,43 @@ def _require_parity_game(game: ObligationGame) -> None:
 
 def _sure_safe(game: ObligationGame, player: Owner, allowed: frozenset[int],
                sub: frozenset[int]) -> frozenset[int]:
-    """Greatest set inside `allowed` that `player` can surely never leave."""
+    """Greatest set inside `allowed` that `player` can surely never leave.
+
+    One scan of the edges of ``allowed & sub`` records each member's
+    predecessors in the set and counts its successors there.  A member
+    is doomed when none of its successors is left, or when it is not
+    `player`'s and has an edge to ``sub`` outside the set.  A worklist
+    then removes the doomed and propagates through the predecessors: a
+    `player` configuration goes when its counter reaches zero, any other
+    at once.  Each edge is handled a bounded number of times, so a call
+    costs O(E) in the edges of ``allowed & sub``.
+    """
+    owners, succ = game.owners, game.succ
     safe = set(allowed & sub)
-    succ = {v: [u for u in game.succ[v] if u in sub] for v in safe}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(safe):
-            if game.owners[v] is player:
-                ok = any(u in safe for u in succ[v])
-            else:
-                ok = bool(succ[v]) and all(u in safe for u in succ[v])
-            if not ok:
-                safe.discard(v)
-                changed = True
+    preds: dict[int, list[int]] = {v: [] for v in safe}
+    count: dict[int, int] = {}
+    doomed = []
+    for v in safe:
+        inside, leaks = 0, False
+        for u in succ[v]:
+            if u in safe:
+                inside += 1
+                preds[u].append(v)
+            elif u in sub:
+                leaks = True
+        count[v] = inside
+        if not inside or (leaks and owners[v] is not player):
+            doomed.append(v)
+    safe.difference_update(doomed)
+    while doomed:
+        for p in preds[doomed.pop()]:
+            if p in safe:
+                if owners[p] is player:
+                    count[p] -= 1
+                    if count[p]:
+                        continue
+                safe.remove(p)
+                doomed.append(p)
     return frozenset(safe)
 
 
@@ -201,36 +228,35 @@ def _max_end_components(game: ObligationGame, controller: Owner,
     forever with probability one: controller states keep at least one
     edge inside, all other states keep all their branches inside, and
     the set is strongly connected under the kept edges.
+
+    The standard refinement, one SCC at a time.  Every end component
+    inside a set lies inside the controller's ``_sure_safe`` trap of the
+    set, and inside one SCC of that trap with an edge of its own (a
+    single configuration needs a self-loop).  Such SCCs of the trap of
+    ``sub`` are the first pending parts.  A pending part that is its
+    own trap is a maximal end component; otherwise the SCCs of its trap
+    become pending parts.
     """
     everything = frozenset(range(len(game)))
-    alive = set(sub)
-    while True:
-        alive = set(_sure_safe(game, controller, frozenset(alive), everything))
-        if not alive:
-            return []
-        order = sorted(alive)
+
+    def sccs(trap: frozenset[int]) -> Iterator[frozenset[int]]:
+        order = sorted(trap)
         pos = {v: i for i, v in enumerate(order)}
-        comps = tarjan_scc(len(order),
-                           lambda i: (pos[u] for u in game.succ[order[i]] if u in alive))
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for i in comp:
-                comp_of[order[i]] = ci
-        removed = False
-        for v in list(alive):
-            if game.owners[v] is controller:
-                if not any(u in alive and comp_of[u] == comp_of[v] for u in game.succ[v]):
-                    alive.discard(v)
-                    removed = True
-            else:
-                if any(comp_of.get(u) != comp_of[v] for u in game.succ[v]):
-                    alive.discard(v)
-                    removed = True
-        if not removed:
-            grouped: dict[int, set[int]] = {}
-            for v in alive:
-                grouped.setdefault(comp_of[v], set()).add(v)
-            return [frozenset(c) for c in grouped.values()]
+        for comp in tarjan_scc(len(order),
+                               lambda i: (pos[u] for u in game.succ[order[i]] if u in trap)):
+            if len(comp) > 1 or order[comp[0]] in game.succ[order[comp[0]]]:
+                yield frozenset(order[i] for i in comp)
+
+    components = []
+    pending = list(sccs(_sure_safe(game, controller, sub, everything)))
+    while pending:
+        part = pending.pop()
+        trap = _sure_safe(game, controller, part, everything)
+        if trap == part:
+            components.append(part)
+        else:
+            pending.extend(sccs(trap))
+    return components
 
 
 def _mdp_max_reach(game: ObligationGame, controller: Owner,
@@ -570,6 +596,9 @@ def decide_parity_threshold(game: ObligationGame, config: int, cmp: str,
     """
     if cmp not in (GE, GT):
         raise InputFormatError("comparator must be '>=' or '>'")
+    if not 0 <= config < len(game):
+        raise InputFormatError(
+            f"configuration index {config} is out of range for {len(game)} configurations")
     if not (ZERO <= threshold <= ONE):
         raise InputFormatError("threshold must lie in [0,1]")
     values = solve_values(game)

@@ -5,11 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from obg import (BudgetExceededError, Obligation, decide_value, dual_game,
+import obg.obligations as obligations_mod
+import obg.parity as parity_mod
+from obg import (BudgetExceededError, InputFormatError, Obligation,
+                 decide_parity_threshold, decide_value, dual_game,
                  embed_chain_as_game, find_best_dependency, make_chain,
                  make_game, solve_parity)
 from obg.budgets import Budgets
-from obg.generators import random_game
+from obg.generators import random_game, random_parity_game
 from obg.model import GE, GT, ONE, ZERO, Owner
 
 HALF = F(1, 2)
@@ -117,3 +120,23 @@ def test_parity_solver_on_single_player1_game():
     solved = solve_parity(game)
     assert solved.values[0] == ZERO
     assert solved.pi.as_dict() == {0: 2}
+
+
+@pytest.mark.parametrize("out_of_range", [lambda n: -1, lambda n: n, lambda n: n + 5],
+                         ids=["minus-one", "length", "beyond"])
+def test_decide_rejects_out_of_range_configurations_before_solving(out_of_range,
+                                                                   monkeypatch):
+    # index -1 once answered for the last configuration, and len(game)
+    # failed with IndexError only after both dependency searches
+    game = random_game(random.Random(3), max_configs=6, max_obligations=2)
+    parity_game = random_parity_game(random.Random(3), max_configs=6)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the configuration")
+
+    monkeypatch.setattr(obligations_mod, "find_best_dependency", no_solve)
+    monkeypatch.setattr(parity_mod, "solve_values", no_solve)
+    with pytest.raises(InputFormatError, match="out of range"):
+        decide_value(game, out_of_range(len(game)), GE, HALF)
+    with pytest.raises(InputFormatError, match="out of range"):
+        decide_parity_threshold(parity_game, out_of_range(len(parity_game)), GE, HALF)

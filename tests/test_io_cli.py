@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from obg import InputFormatError, io_formats
-from obg.cli import main
+from obg.cli import RunConfiguration, build_parser, main
 from obg.dot_export import export_chain_dot
 
 from conftest import FIXTURES, fixture_text, load_chain_doc, load_game
@@ -217,6 +217,24 @@ def test_cli_budget_flags_only_where_they_act():
         main(["verify", fixture_path("fig6.game.json"),
               fixture_path("fig6.dependency.json"), "--max-priority", "4"])
     assert exc.value.code == 2
+
+
+def test_cli_dependency_node_budget_flag():
+    # the flag acts like OBG_BUDGET_MAX_DEPENDENCY_NODES on the search
+    # commands and is refused by the certificate checker
+    assert main(["solve-game", fixture_path("fig5.game.json"), "--no-witnesses",
+                 "--max-dependency-nodes", "1"]) == 3
+    assert main(["solve-game", fixture_path("fig5.game.json"), "--no-witnesses",
+                 "--max-dependency-nodes", "20000"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", fixture_path("fig6.game.json"),
+              fixture_path("fig6.dependency.json"), "--max-dependency-nodes", "5"])
+    assert exc.value.code == 2
+    for command in (["solve-game", "g"], ["solve-chain", "c"],
+                    ["decide", "g", "--config", "s", "--cmp", ">=", "--threshold", "1"],
+                    ["paut", "accepts", "a", "c"], ["selftest"]):
+        args = build_parser().parse_args(command + ["--max-dependency-nodes", "7"])
+        assert RunConfiguration.from_args(args).budgets.max_dependency_nodes == 7
 
 
 def test_cli_internal_invariant_exit_code(monkeypatch, capsys):

@@ -15,6 +15,7 @@ from obg import (InputFormatError, InternalInvariantError, OracleInfeasibleError
                  solve_parity, solve_parity_oracle)
 from obg.budgets import Budgets
 from obg.generators import random_parity_game
+from obg.graphs import tarjan_scc
 from obg.model import ONE, ZERO, ObligationGame, Owner, restrict_choice
 from obg.obligations import build_gamma_game
 import obg.parity as parity_mod
@@ -301,6 +302,131 @@ def test_attractors_and_end_components_match_naive_fixpoints(seed, drop1, drop2,
         naive_as_attr(game, player, closed, sub)
     assert set(parity_mod._max_end_components(game, player, sub)) == \
         naive_end_components(game, player, sub)
+
+
+# ---------------------------------------------------------------------------
+# The trap fixpoint and the end-component refinement against the loops
+# they replaced: whole sweeps until nothing changes, and a refinement that
+# recomputes the SCCs of the whole live set every round.
+
+
+def naive_sure_safe(game, player, allowed, sub):
+    safe = set(allowed & sub)
+    succ = {v: [u for u in game.succ[v] if u in sub] for v in safe}
+    changed = True
+    while changed:
+        changed = False
+        for v in list(safe):
+            if game.owners[v] is player:
+                ok = any(u in safe for u in succ[v])
+            else:
+                ok = bool(succ[v]) and all(u in safe for u in succ[v])
+            if not ok:
+                safe.discard(v)
+                changed = True
+    return frozenset(safe)
+
+
+def naive_max_end_components(game, controller, sub):
+    everything = frozenset(range(len(game)))
+    alive = set(sub)
+    while True:
+        alive = set(naive_sure_safe(game, controller, frozenset(alive), everything))
+        if not alive:
+            return []
+        order = sorted(alive)
+        pos = {v: i for i, v in enumerate(order)}
+        comps = tarjan_scc(len(order),
+                           lambda i: (pos[u] for u in game.succ[order[i]] if u in alive))
+        comp_of = {}
+        for ci, comp in enumerate(comps):
+            for i in comp:
+                comp_of[order[i]] = ci
+        removed = False
+        for v in list(alive):
+            if game.owners[v] is controller:
+                if not any(u in alive and comp_of[u] == comp_of[v] for u in game.succ[v]):
+                    alive.discard(v)
+                    removed = True
+            else:
+                if any(comp_of.get(u) != comp_of[v] for u in game.succ[v]):
+                    alive.discard(v)
+                    removed = True
+        if not removed:
+            grouped = {}
+            for v in alive:
+                grouped.setdefault(comp_of[v], set()).add(v)
+            return [frozenset(c) for c in grouped.values()]
+
+
+def random_subset(rng, n, density):
+    return frozenset(v for v in range(n) if rng.random() < density)
+
+
+def test_sure_safe_matches_the_sweep():
+    seen = {"allowed outside sub": 0, "no successor in sub": 0, "proper trap": 0}
+    for seed in range(150):
+        rng = random.Random(seed)
+        primal = random_parity_game(rng, max_configs=40)
+        n = len(primal)
+        for game in (primal, dual_game(primal)):
+            for _ in range(3):
+                sub = random_subset(rng, n, rng.choice((0.6, 0.9, 1.0)))
+                allowed = random_subset(rng, n, rng.choice((0.5, 0.8, 1.0)))
+                seen["allowed outside sub"] += not allowed <= sub
+                seen["no successor in sub"] += any(
+                    not any(u in sub for u in game.succ[v]) for v in allowed & sub)
+                for player in (Owner.PLAYER0, Owner.PLAYER1):
+                    # mutable copies, so a mutation would show
+                    allowed_arg, sub_arg = set(allowed), set(sub)
+                    fast = parity_mod._sure_safe(game, player, allowed_arg, sub_arg)
+                    assert (allowed_arg, sub_arg) == (allowed, sub)
+                    assert fast == naive_sure_safe(game, player, allowed, sub)
+                    seen["proper trap"] += bool(fast) and fast != allowed & sub
+    assert min(seen.values()) > 0, seen
+
+
+def test_sure_safe_matches_the_sweep_on_a_long_ladder():
+    # Configurations alternate Player 1 and random; each has a forward and
+    # a back edge.  Without the top rung everything is lost for Player 0,
+    # one configuration per pass of the sweep, which is quadratic.
+    n = 2000
+    configs, edges, kernel = [], [], {}
+    for i in range(n):
+        name, forward, back = f"c{i}", f"c{min(i + 1, n - 1)}", f"c{max(i - 1, 0)}"
+        owner = (Owner.PLAYER1, Owner.PROBABILISTIC)[i % 2]
+        configs.append((name, owner, i % 7, None))
+        edges += [(name, t) for t in {forward, back}]
+        if owner is Owner.PROBABILISTIC:
+            kernel[name] = {forward: HALF, back: HALF}
+    game = make_game(configs, edges, kernel)
+    everything = frozenset(range(n))
+    allowed = everything - {n - 1}
+    for player in (Owner.PLAYER0, Owner.PLAYER1):
+        assert parity_mod._sure_safe(game, player, allowed, everything) == \
+            naive_sure_safe(game, player, allowed, everything)
+    assert not parity_mod._sure_safe(game, Owner.PLAYER0, allowed, everything)
+
+
+def test_max_end_components_match_the_whole_set_refinement():
+    seen = {"several components": 0, "none": 0}
+    for seed in range(150):
+        rng = random.Random(seed)
+        primal = random_parity_game(rng, max_configs=40)
+        n = len(primal)
+        for game in (primal, dual_game(primal)):
+            mask = random_subset(rng, n, 0.8)
+            for controller in (Owner.PLAYER0, Owner.PLAYER1):
+                # nested like the sub-arenas of _mdp_max_parity
+                for least in range(4):
+                    sub = frozenset(v for v in mask if game.priority[v] >= least)
+                    fast = parity_mod._max_end_components(game, controller, sub)
+                    expect = naive_max_end_components(game, controller, sub)
+                    assert len(fast) == len(set(fast))
+                    assert set(fast) == set(expect)
+                    seen["several components"] += len(fast) > 1
+                    seen["none"] += not fast
+    assert min(seen.values()) > 0, seen
 
 
 # ---------------------------------------------------------------------------
