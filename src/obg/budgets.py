@@ -21,8 +21,8 @@ class Budgets:
     max_obligations / max_priority gate the dependency search; games
     beyond them are still accepted by the certificate checker, which is
     polynomial.  max_strategy_pairs gates the brute-force parity oracle.
-    max_dependency_nodes caps the search tree of the maximal
-    odd-cycle-free subgraph enumeration.
+    max_dependency_nodes caps the monitor-game tests of the dependency
+    search's progress-measure lifting, cached ones included.
     """
 
     max_obligations: int = 10

@@ -325,7 +325,7 @@ _BUDGET_FLAGS = {
     "--max-obligations": "dependency-search budget (default 10)",
     "--max-priority": "largest priority the dependency search accepts (default 4)",
     "--max-strategy-pairs": "strategy-pair budget of the brute-force oracle (default 4096)",
-    "--max-dependency-nodes": "node budget of the dependency search (default 20000)",
+    "--max-dependency-nodes": "monitor-game test budget of the dependency search (default 20000)",
 }
 _SEARCH_BUDGETS = ("--max-obligations", "--max-priority", "--max-dependency-nodes")
 

@@ -19,23 +19,21 @@ Values then read off a single reduced game, the game with met
 obligations settled as absorbing wins and unmet ones as losses.
 
 ``find_best_dependency`` realizes the nondeterministic choice of a
-certificate deterministically: a greatest-fixpoint pass evicts
-obligations that fail even with every reachable pair available, then
-candidate met-sets are enumerated largest-first; for a fixed met-set,
-feasibility is decided by enumerating the maximal odd-cycle-free
-subgraphs of the reachable reference graph (every good certificate
-extends to one, and monitor values are monotone in the pair sets, so
-the enumeration is complete).  Candidate certificates are evaluated
-independently; results are deterministic and scheduling-independent,
-the reported certificate being the lexicographically first maximal one.
+certificate deterministically, as the least fixpoint of a lifting of
+parity progress measures (Jurdzinski, STACS 2000) on the obligation
+configurations: a measure certifies that the references consistent
+with it close no cycle with an odd minimal label, and each lift raises
+one configuration's measure to the least one at which those references
+pass its threshold.  The fixpoint is unique, its met-set is the maximal
+one, and the reported certificate is the least measure's consistent
+pairs.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -120,12 +118,12 @@ class ObligationValueReport:
     Obligation configurations have value 0 or 1; all other values lie
     in [0, 1] and equal their pre-value.  ``pre_values`` at obligation
     configurations is the certificate measure before the threshold is
-    applied: for configurations met by the search it is the best
-    monitor value over all passing maximal certificates, for unmet ones
-    the best measure of reaching any met obligation or winning
-    obligation-free.  Applying a configuration's own threshold to its
-    pre-value always reproduces its 0/1 value; note the reported number
-    can undercut the theoretical supremum over nested commitments (a
+    applied: for met configurations it is their monitor value under the
+    reported certificate, for unmet ones the best measure of reaching any
+    met obligation or winning obligation-free.  Applying a configuration's
+    own threshold to its pre-value always reproduces its 0/1 value; note
+    the reported number can undercut the best monitor value over all good
+    certificates, and the theoretical supremum over nested commitments (a
     configuration may lean on finitely many returns to itself, which a
     flat per-configuration certificate cannot express), without ever
     affecting a verdict.  ``reduced_solution`` carries the values and
@@ -303,8 +301,7 @@ def values_given_dependency(game: ObligationGame, dep: Dependency, *,
 
     Pre-values at obligation configurations are the certificate's own
     monitor values (met) or the best measure of reaching any met
-    obligation (unmet); ``find_best_dependency`` overrides the met ones
-    with the maximum over all passing maximal certificates.
+    obligation (unmet).
     """
     report = verify_dependency(game, dep)
     if not report.good:
@@ -336,91 +333,30 @@ def _pair_universe(game: ObligationGame, v: int, met: frozenset[int]) -> frozens
 # Searching for the best dependency
 
 
-def _rows_of(met: Iterable[int], edge_set: frozenset[tuple[int, int, int]]
-             ) -> dict[int, frozenset[Pair]]:
-    grouped: dict[int, set[Pair]] = {v: set() for v in met}
-    for v, u, i in edge_set:
-        grouped[v].add((u, i))
-    return {v: frozenset(pairs) for v, pairs in grouped.items()}
-
-
-def _feasible_assignment(game: ObligationGame, met: frozenset[int],
-                         budget: Budgets
-                         ) -> Optional[tuple[dict[int, frozenset[Pair]], dict[int, Fraction]]]:
-    """Lexicographically first passing maximal certificate for a met-set.
-
-    Branch-and-bound over odd-cycle-free subsets of the reachable
-    reference graph: branching on the edges of some odd-minimal cycle
-    covers every odd-cycle-free subset, and since monitor values are
-    monotone in the edge set, a branch whose current rows already miss
-    some threshold cannot contain a passing certificate and is pruned.
-    Returns (rows, best monitor value per met configuration over all
-    passing maximal certificates), or None when the met-set admits no
-    good certificate.
-    """
-    universe = tuple(sorted(
-        (v, u, i)
-        for v in met
-        for (u, i) in _pair_universe(game, v, met)))
-    order = sorted(met)
-    terminals: list[frozenset] = []
-    explored = 0
-
-    def bounds_pass(edge_set: frozenset) -> bool:
-        rows = _rows_of(met, edge_set)
-        for v in order:
-            if not _obligation_at(game, v).holds(gamma_value(game, v, rows[v])):
-                return False
-        return True
-
-    def explore(current: frozenset, kept: frozenset) -> None:
-        # Enumerates the odd-cycle-free subsets of `current` containing
-        # `kept`: branch i of a cycle removes its i-th removable edge and
-        # pins the earlier ones, so the subtrees partition the space.
-        nonlocal explored
-        explored += 1
-        if explored > budget.max_dependency_nodes:
-            raise BudgetExceededError(
-                f"dependency search explored more than "
-                f"{budget.max_dependency_nodes} edge sets")
-        if not bounds_pass(current):
-            return
-        cycle = find_odd_cycle(sorted(current))
-        if cycle is None:
-            terminals.append(current)
-            return
-        removable = [e for e in cycle if e not in kept]
-        pinned = set(kept)
-        for e in removable:
-            explore(current - {e}, frozenset(pinned))
-            pinned.add(e)
-
-    explore(frozenset(universe), frozenset())
-    if not terminals:
-        return None
-    maximal = [t for t in terminals if not any(t < other for other in terminals)]
-    best: dict[int, Fraction] = {}
-    for edge_set in maximal:
-        rows = _rows_of(met, edge_set)
-        for v in met:
-            value = gamma_value(game, v, rows[v])
-            if v not in best or value > best[v]:
-                best[v] = value
-    chosen = min(maximal, key=lambda t: tuple(sorted(t)))
-    return _rows_of(met, chosen), best
-
-
 def find_best_dependency(game: ObligationGame, *,
                          budgets: Budgets = DEFAULT_BUDGETS,
                          witnesses: bool = True
                          ) -> tuple[Dependency, ObligationValueReport]:
-    """Deterministic search for a good dependency with a maximal met-set.
+    """Good dependency with the maximal met-set, by progress-measure lifting.
 
-    The met-sets of good certificates are closed under union, so the
-    inclusion-maximal one is unique and dominates every other
-    certificate's values pointwise; per-configuration values under it
-    are therefore the per-configuration maxima over all good
-    certificates.
+    A measure is top or a tuple with one component in 0..|O| per odd label
+    <= the maximal priority, lower labels more significant; it is held as
+    that tuple read as an integer in base |O|+1, and top as None.  A pair
+    (u, i) of v is consistent when u is not at top and v's measure,
+    truncated to the odd labels <= i, is at least u's truncated the same
+    way, strictly for odd i; so consistent pairs close no cycle with an
+    odd minimal label.  Lifting v raises its measure to the least one at
+    which its consistent pairs pass its threshold in the monitor game, or
+    to top.  Lifting is monotone, so its least fixpoint is unique and does
+    not depend on the order of the lifts.  The met-set is every
+    configuration below top, each with its consistent pairs as row.  Any
+    good certificate gives a measure that is a prefixpoint (count the
+    i-labelled references on paths over labels >= i), so this met-set
+    contains every good certificate's, and the values under it are the
+    maxima over all good certificates.
+
+    ``budgets.max_dependency_nodes`` bounds the monitor-game tests of the
+    lifting, cached ones included.
     """
     obligations = game.obligation_indices()
     if len(obligations) > budgets.max_obligations:
@@ -431,44 +367,59 @@ def find_best_dependency(game: ObligationGame, *,
         raise BudgetExceededError(
             f"maximal priority {game.max_priority()} exceeds the budget "
             f"of {budgets.max_priority}")
-    if not obligations:
-        dep = Dependency(())
-        return dep, values_given_dependency(game, dep, witnesses=witnesses)
 
-    # Greatest-fixpoint pass: evict every obligation that fails even with
-    # all reachable pairs into the current candidate set available.  Good
-    # certificates only shrink monitor values relative to that bound, so
-    # no member of a good met-set is ever evicted.
-    candidates = set(obligations)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(candidates):
-            bound = gamma_value(game, v, _pair_universe(game, v, frozenset(candidates)))
-            if not _obligation_at(game, v).holds(bound):
-                candidates.discard(v)
-                changed = True
+    radix, width = len(obligations) + 1, (game.max_priority() + 1) // 2
+    universe = {v: sorted(_pair_universe(game, v, frozenset(obligations)))
+                for v in obligations}
+    dependents: dict[int, set[int]] = {v: set() for v in obligations}
+    for v in obligations:
+        for u, _ in universe[v]:
+            if u != v:
+                dependents[u].add(v)
+    measure: dict[int, Optional[int]] = dict.fromkeys(obligations, 0)
+    tests = 0
 
-    chosen_rows: dict[int, frozenset[Pair]] = {}
-    best_gammas: dict[int, Fraction] = {}
-    met: frozenset[int] = frozenset()
-    found = False
-    order = sorted(candidates)
-    for size in range(len(order), -1, -1):
-        for combo in itertools.combinations(order, size):
-            attempt = _feasible_assignment(game, frozenset(combo), budgets)
-            if attempt is not None:
-                chosen_rows, best_gammas = attempt
-                met = frozenset(combo)
-                found = True
-                break
-        if found:
-            break
-    dep = Dependency.from_mapping(game, {
-        v: (sorted(chosen_rows[v]) if v in met else None) for v in obligations})
-    report = values_given_dependency(game, dep, witnesses=witnesses)
-    pre = tuple(best_gammas.get(v, x) for v, x in enumerate(report.pre_values))
-    return dep, replace(report, pre_values=pre)
+    def consistent(v: int, base: int) -> dict[Pair, int]:
+        """Each pair of v with the least measure >= base consistent with it."""
+        out = {}
+        for u, i in universe[v]:
+            target = measure[u]
+            if target is not None:
+                unit = radix ** (width - (i + 1) // 2)
+                least = max(base, (target // unit + i % 2) * unit)
+                if least < radix ** width:
+                    out[(u, i)] = least
+        return out
+
+    def lift(v: int, base: int) -> Optional[int]:
+        nonlocal tests
+        pairs = consistent(v, base)
+        for r in sorted({base, *pairs.values()}):
+            tests += 1
+            if tests > budgets.max_dependency_nodes:
+                raise BudgetExceededError(
+                    f"dependency search made more than "
+                    f"{budgets.max_dependency_nodes} monitor-game tests")
+            chosen = [p for p, least in pairs.items() if least <= r]
+            if _obligation_at(game, v).holds(gamma_value(game, v, chosen)):
+                return r
+        return None
+
+    pending, queued = deque(obligations), set(obligations)
+    while pending:
+        v = pending.popleft()
+        queued.discard(v)
+        base = measure[v]
+        if base is not None and (lifted := lift(v, base)) != base:
+            measure[v] = lifted
+            for w in sorted(dependents[v] - queued):
+                pending.append(w)
+                queued.add(w)
+
+    rows = {v: sorted(p for p, least in consistent(v, base).items() if least == base)
+            for v, base in measure.items() if base is not None}
+    dep = Dependency.from_mapping(game, rows)
+    return dep, values_given_dependency(game, dep, witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------

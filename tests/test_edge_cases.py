@@ -96,18 +96,13 @@ def test_decide_value_rejects_bad_threshold():
         decide_value(game, 0, GE, F(3, 2))
 
 
-def test_tiny_dependency_node_budget_trips():
-    rng = random.Random(5)
-    for _ in range(50):
-        game = random_game(rng, max_obligations=3)
-        if len(game.obligation_indices()) < 2:
-            continue
-        try:
-            find_best_dependency(game, witnesses=False,
-                                 budgets=Budgets(max_dependency_nodes=1))
-        except BudgetExceededError:
-            return
-    pytest.skip("no instance needed more than one search node")
+def test_tiny_dependency_node_budget_trips(fig5):
+    # the lifting on fig5 makes exactly three monitor-game tests
+    find_best_dependency(fig5, witnesses=False,
+                         budgets=Budgets(max_dependency_nodes=3))
+    with pytest.raises(BudgetExceededError, match="more than 2 monitor-game tests"):
+        find_best_dependency(fig5, witnesses=False,
+                             budgets=Budgets(max_dependency_nodes=2))
 
 
 def test_parity_solver_on_single_player1_game():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -6,17 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obg import (BudgetExceededError, Dependency, InputFormatError,
-                 Obligation, build_gamma_game, check_condition1,
-                 check_condition2, check_condition3, decide_value, dual_game,
+                 Obligation, build_gamma_game, build_product_game,
+                 check_condition1, check_condition2, check_condition3,
+                 decide_value, dual_game,
                  embed_chain_as_game, find_best_dependency, gamma_value,
                  make_chain, solve_chain_obligations, solve_parity,
                  value_of_prefix, values_given_dependency, verify_dependency)
-from obg.budgets import Budgets
+from obg.budgets import DEFAULT_BUDGETS, Budgets
 from obg.chains import min_priority_monitor_product
-from obg.generators import random_game
+from obg.generators import (random_automaton, random_game,
+                            random_labeled_chain)
 from obg.graphs import tarjan_scc
 from obg.model import ONE, ZERO, ObligationGame, Owner, game_from_rows
-from obg.obligations import find_odd_cycle, reachable_pairs
+from obg.obligations import (_obligation_at, _pair_universe, find_odd_cycle,
+                             reachable_pairs)
 from obg.parity import solve_values
 
 from conftest import load_chain_doc, load_game
@@ -339,6 +343,115 @@ def test_find_best_budget_errors(fig6):
                              budgets=Budgets(max_obligations=1))
     with pytest.raises(BudgetExceededError):
         find_best_dependency(fig6, budgets=Budgets(max_priority=2))
+
+
+# ---------------------------------------------------------------------------
+# Reference: met-set enumeration over odd-cycle-free certificates
+
+
+def _rows_of(met, edge_set):
+    grouped = {v: set() for v in met}
+    for v, u, i in edge_set:
+        grouped[v].add((u, i))
+    return {v: frozenset(pairs) for v, pairs in grouped.items()}
+
+
+def _feasible_assignment(game, met, budget=20000):
+    """Lexicographically first passing maximal certificate for a met-set.
+
+    Branch-and-bound over odd-cycle-free subsets of the reachable
+    reference graph: branching on the edges of some odd-minimal cycle
+    covers every odd-cycle-free subset, and since monitor values are
+    monotone in the edge set, a branch whose current rows already miss
+    some threshold cannot contain a passing certificate and is pruned.
+    Returns the rows, or None when the met-set admits no good certificate.
+    """
+    universe = tuple(sorted(
+        (v, u, i)
+        for v in met
+        for (u, i) in _pair_universe(game, v, met)))
+    order = sorted(met)
+    terminals = []
+    explored = 0
+
+    def bounds_pass(edge_set):
+        rows = _rows_of(met, edge_set)
+        return all(_obligation_at(game, v).holds(gamma_value(game, v, rows[v]))
+                   for v in order)
+
+    def explore(current, kept):
+        # Enumerates the odd-cycle-free subsets of `current` containing
+        # `kept`: branch i of a cycle removes its i-th removable edge and
+        # pins the earlier ones, so the subtrees partition the space.
+        nonlocal explored
+        explored += 1
+        if explored > budget:
+            raise BudgetExceededError(f"reference search explored more than {budget} edge sets")
+        if not bounds_pass(current):
+            return
+        cycle = find_odd_cycle(sorted(current))
+        if cycle is None:
+            terminals.append(current)
+            return
+        pinned = set(kept)
+        for e in (e for e in cycle if e not in kept):
+            explore(current - {e}, frozenset(pinned))
+            pinned.add(e)
+
+    explore(frozenset(universe), frozenset())
+    if not terminals:
+        return None
+    maximal = [t for t in terminals if not any(t < other for other in terminals)]
+    return _rows_of(met, min(maximal, key=lambda t: tuple(sorted(t))))
+
+
+def reference_dependency(game):
+    """Good dependency with the largest met-set, by enumerating met-sets.
+
+    A greatest-fixpoint pass first evicts every obligation that fails even
+    with all reachable pairs into the remaining candidates; then candidate
+    met-sets are tried largest-first, each by ``_feasible_assignment``.
+    """
+    obligations = game.obligation_indices()
+    candidates = set(obligations)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(candidates):
+            bound = gamma_value(game, v, _pair_universe(game, v, frozenset(candidates)))
+            if not _obligation_at(game, v).holds(bound):
+                candidates.discard(v)
+                changed = True
+    order = sorted(candidates)
+    for size in range(len(order), -1, -1):
+        for combo in itertools.combinations(order, size):
+            rows = _feasible_assignment(game, frozenset(combo))
+            if rows is not None:
+                return Dependency.from_mapping(game, {v: sorted(rows[v]) for v in combo})
+    raise AssertionError("the empty met-set is always feasible")
+
+
+def reference_samples():
+    rng = random.Random(12345)
+    for _ in range(300):
+        yield random_game(rng, max_configs=12, max_obligations=4), DEFAULT_BUDGETS
+    rng = random.Random(54321)
+    for _ in range(100):
+        aut = random_automaton(rng, max_states=3)
+        chain = random_labeled_chain(rng, max_locations=4)
+        yield build_product_game(aut, chain)[0], Budgets(max_obligations=64, max_priority=8)
+
+
+def test_lifting_matches_the_met_set_enumeration():
+    for game, budgets in reference_samples():
+        dual_budgets = budgets.override(max_priority=budgets.max_priority + 1)
+        for instance, limits in ((game, budgets), (dual_game(game), dual_budgets)):
+            dep, report = find_best_dependency(instance, budgets=limits, witnesses=False)
+            expected = reference_dependency(instance)
+            assert dep.defined() == expected.defined()
+            assert report.values == values_given_dependency(
+                instance, expected, witnesses=False).values
+            assert verify_dependency(instance, dep).good
 
 
 # ---------------------------------------------------------------------------

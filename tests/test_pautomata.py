@@ -281,9 +281,7 @@ def test_layered_agrees_with_general_on_random_automata(seed):
         assert value == general.report.values[v]
 
 
-@given(st.integers(0, 10**6))
-@settings(max_examples=20)
-def test_complement_duality_on_random_products(seed):
+def assert_product_duality(seed):
     import random
     from obg.generators import random_automaton, random_labeled_chain
     rng = random.Random(seed)
@@ -295,3 +293,16 @@ def test_complement_duality_on_random_products(seed):
     _, counter = find_best_dependency(dual_game(product), budgets=wide,
                                       witnesses=False)
     assert all(a + b == ONE for a, b in zip(primal.values, counter.values))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=20)
+def test_complement_duality_on_random_products(seed):
+    assert_product_duality(seed)
+
+
+# These products exhausted 20000 nodes of the met-set enumeration that the
+# progress-measure lifting replaced: 593 on the primal, the others on the dual.
+@pytest.mark.parametrize("seed", [593, 75753, 117, 279])
+def test_complement_duality_on_products_that_exhausted_the_met_set_search(seed):
+    assert_product_duality(seed)
