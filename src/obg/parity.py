@@ -20,21 +20,34 @@ run:
   such an MDP solve, so every candidate Player-0 strategy yields a
   certified lower bound on the value vector, and symmetrically on the
   dual game (players swapped, priorities shifted by one) for Player 1.
-  A strategy-improvement climb is run on both sides; if the two bounds
-  sum to one at every configuration, they provably *are* the values.
-  Any remaining gap is closed by enumerating the positional strategies
-  of whichever player has fewer (exact by positional determinacy),
-  within a budget.
+  First, though, the game is solved qualitatively: by qualitative
+  determinacy, value 1 and value 0 are exactly the two players'
+  almost-sure regions, and ``_as_strategy`` returns each with a
+  positional strategy.  When the regions cover the game, both
+  strategies pass a graph-only certificate (``_certify_as``) and the
+  values are 0/1 without a best response.  Otherwise a
+  strategy-improvement climb, started from those strategies, is run on
+  both sides; if the two bounds sum to one at every configuration, they
+  provably *are* the values.  Any remaining gap is closed by enumerating
+  the positional strategies of whichever player has fewer (exact by
+  positional determinacy), within a budget.
 
 The qualitative analysis rests on one trap fixpoint, ``_sure_safe``, a
 worklist over predecessor lists and successor counters built per call,
 so each call is O(E) in the edges of the set it traps.  A positive
 attractor is the complement of the opponent's sure-safe region, and
-maximal end components are refined one SCC at a time: trap a part with
-the controller's ``_sure_safe``, split the trap into its SCCs, and keep
-a part that is its own trap.  Strategies are fixed through
-``model.restrict_choice``.  The solvers keep nothing between calls: each
-call solves its game afresh.
+Player 0's moves in it come from a breadth-first search back from the
+targets; an almost-sure attractor drops the opponent's positive
+attractor of its sure-safe region until there is none.  The almost-sure
+region is Zielonka's recursion on these attractors (Chatterjee,
+Jurdziński & Henzinger, "Quantitative stochastic parity games", SODA
+2004), and its strategy composes attractor moves with the moves of the
+sub-arenas' regions.  Maximal end
+components are refined one SCC at a time: trap a part with the
+controller's ``_sure_safe``, split the trap into its SCCs, and keep a
+part that is its own trap.  Strategies are fixed through
+``model.restrict_choice``.  The solvers keep nothing between calls:
+each call solves its game afresh.
 
 Reported witness strategies are canonical so both solvers return the
 same object: the lexicographically first optimal strategy (by
@@ -45,11 +58,11 @@ tried, and the last of them is taken without a re-solve: optimal pure
 memoryless strategies exist in every restriction that keeps the values,
 so when all earlier ones change the values the last one keeps them.
 The finished restriction is re-solved once to check this, unless it
-equals the last re-solved restriction that kept them.  The climb's
-starting strategy is chosen the same way, keeping the almost-sure region
-(``_first_keeping_choices``).  Enumeration in the oracle may be
-parallelized over Player-0 strategies as long as this deterministic
-reduction is kept.
+equals the last re-solved restriction that kept them
+(``_first_keeping_choices``).  The climbs need no such search: they
+start from the almost-sure strategies, which already realise value 1 on
+their regions.  Enumeration in the oracle may be parallelized over
+Player-0 strategies as long as this deterministic reduction is kept.
 """
 
 from __future__ import annotations
@@ -67,7 +80,7 @@ from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError, OracleInfeasibleError)
 from .graphs import tarjan_scc
 from .model import (GE, GT, ONE, OPPONENT, ZERO, ObligationGame, Owner,
-                    PureMemorylessStrategy, dual_game, restrict_choice)
+                    PureMemorylessStrategy, dual_game, restrict_choice, settle)
 
 Values = tuple[Fraction, ...]
 
@@ -116,12 +129,14 @@ def _require_parity_game(game: ObligationGame) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Qualitative analysis: positive attractors, sure safety, almost-sure region.
+# Qualitative analysis: positive attractors, sure safety, almost-sure regions
+# with their strategies, and the certificate that checks such a strategy.
 #
 # All fixpoints are computed inside a sub-arena `sub`; edges leaving `sub`
 # are ignored.  The recursion only ever descends into sub-arenas arising as
 # complements of positive attractors, which are closed for the probabilistic
-# configurations, so kernel rows stay meaningful.
+# configurations, so kernel rows stay meaningful, or into the same sub-arena
+# of a game with part of it settled as won.
 
 
 def _sure_safe(game: ObligationGame, player: Owner, allowed: frozenset[int],
@@ -173,44 +188,143 @@ def _pos_attr(game: ObligationGame, player: Owner, targets: Iterable[int],
     return sub - _sure_safe(game, OPPONENT[player], sub - frozenset(targets), sub)
 
 
+def _attractor_moves(game: ObligationGame, targets: frozenset[int],
+                     attractor: frozenset[int]) -> dict[int, int]:
+    """Player 0's moves in its positive attractor of `targets`.
+
+    A breadth-first search back from the targets inside the attractor:
+    each Player-0 member outside the targets moves to the successor it
+    was first reached from, one layer closer, so every play consistent
+    with the moves reaches the targets with positive probability within
+    |attractor| steps.
+    """
+    owners, succ = game.owners, game.succ
+    preds: dict[int, list[int]] = {v: [] for v in attractor}
+    count: dict[int, int] = {}
+    for v in attractor - targets:
+        inside = 0
+        for u in succ[v]:
+            if u in attractor:
+                inside += 1
+                preds[u].append(v)
+        count[v] = inside
+    queue = sorted(targets)
+    reached = set(queue)
+    moves: dict[int, int] = {}
+    for u in queue:
+        for p in preds[u]:
+            if p in reached:
+                continue
+            if owners[p] is Owner.PLAYER0:
+                moves[p] = u
+            elif owners[p] is Owner.PLAYER1:
+                count[p] -= 1
+                if count[p]:
+                    continue
+            reached.add(p)
+            queue.append(p)
+    return moves
+
+
 def _as_attr(game: ObligationGame, player: Owner, targets: frozenset[int],
              sub: frozenset[int]) -> frozenset[int]:
     """States where `player` forces reaching `targets` with probability one,
     for targets in which `player` can keep the play (as the recursion's
     winning regions are).
 
-    The opponent prevents almost-sure reachability exactly when it can,
-    with positive probability, reach the region it can surely confine
-    away from the targets.
+    The greatest fixpoint of one step: drop the opponent's positive
+    attractor of the region it can surely confine away from the targets,
+    and repeat inside what is left, where `player` can no longer use the
+    dropped configurations.  At the fixpoint the set is closed for the
+    opponent and chance, and the targets are positively reachable from
+    each member inside it, hence reached almost surely.
     """
     opponent = OPPONENT[player]
-    refuge = _sure_safe(game, opponent, sub - targets, sub)
-    return sub - _pos_attr(game, opponent, refuge, sub)
-
-
-def _as_region(game: ObligationGame, sub: frozenset[int]) -> frozenset[int]:
-    """Configurations from which Player 0 wins the parity objective almost surely."""
-    if not sub:
-        return frozenset()
-    d = min(game.priority[v] for v in sub)
-    dset = frozenset(v for v in sub if game.priority[v] == d)
-    if d % 2 == 0:
-        # Player 0 is happy revisiting priority d.  Carve out the part of
-        # the remainder the opponent can spoil and recurse without it.
-        rest = sub - _pos_attr(game, Owner.PLAYER0, dset, sub)
-        spoil = rest - _as_region(game, rest)
-        if not spoil:
+    while True:
+        refuge = _sure_safe(game, opponent, sub - targets, sub)
+        if not refuge:
             return sub
-        return _as_region(game, sub - _pos_attr(game, Owner.PLAYER1, spoil, sub))
-    # Priority d is bad for Player 0: winning requires almost surely
-    # reaching the winning region of the arena without the opponent's
-    # positive attractor of d.
-    rest = sub - _pos_attr(game, Owner.PLAYER1, dset, sub)
-    core = _as_region(game, rest)
-    reach = _as_attr(game, Owner.PLAYER0, core, sub)
-    if reach == sub:
-        return sub
-    return _as_region(game, reach)
+        sub = sub - _pos_attr(game, opponent, refuge, sub)
+
+
+def _as_strategy(game: ObligationGame,
+                 sub: frozenset[int]) -> tuple[frozenset[int], dict[int, int]]:
+    """Configurations of `sub` from which Player 0 wins the parity objective
+    almost surely, and a positional strategy that does so: one move per
+    Player-0 configuration of the region, inside the region.
+
+    Zielonka's recursion on the least priority d with positive attractors
+    (Chatterjee, Jurdziński & Henzinger, SODA 2004).  The moves are
+    attractor moves (``_attractor_moves``) composed with the moves of the
+    sub-arenas' regions.  Each round either answers, or shrinks `sub`, or
+    settles part of it as won, so the recursion only descends on fewer
+    priorities.
+    """
+    settled: dict[int, int] = {}  # moves in the configurations settled as won
+    while sub:
+        owners, succ = game.owners, game.succ
+        d = min(game.priority[v] for v in sub)
+        dset = frozenset(v for v in sub if game.priority[v] == d)
+        if d % 2 == 0:
+            # Player 0 is happy revisiting priority d.  Carve out the part
+            # of the remainder the opponent can spoil and retry without it.
+            attractor = _pos_attr(game, Owner.PLAYER0, dset, sub)
+            rest = sub - attractor
+            won, choices = _as_strategy(game, rest)
+            spoil = rest - won
+            if spoil:
+                sub -= _pos_attr(game, Owner.PLAYER1, spoil, sub)
+                continue
+            # Win the remainder there; elsewhere attract to d, revisiting it
+            # infinitely often unless the play settles in the remainder.
+            choices.update(_attractor_moves(game, dset, attractor))
+            choices.update((v, next(u for u in succ[v] if u in sub))
+                           for v in dset if owners[v] is Owner.PLAYER0)
+            return sub, {**choices, **settled}
+        # Priority d is bad for Player 0.  If it wins nowhere in the arena
+        # without the opponent's positive attractor of d, it wins nowhere.
+        # Otherwise everything that almost surely reaches that region is
+        # won, and sub is solved again with it settled as won.
+        rest = sub - _pos_attr(game, Owner.PLAYER1, dset, sub)
+        core, choices = _as_strategy(game, rest)
+        if not core:
+            break
+        reach = _as_attr(game, Owner.PLAYER0, core, sub)
+        settled.update(choices)
+        settled.update(_attractor_moves(game, core, reach))
+        if reach == sub:
+            return sub, settled
+        game = settle(game, dict.fromkeys(reach, True))
+    return frozenset(), {}
+
+
+def _certify_as(game: ObligationGame, region: frozenset[int],
+                choices: dict[int, int]) -> None:
+    """Check on the graph alone that `choices` wins almost surely from
+    every configuration of `region` for Player 0.
+
+    The region must be closed under the chosen moves and under every move
+    of the opponent and of chance.  Fixing the moves leaves an MDP of the
+    opponent, whose plays almost surely end up in an end component; so
+    no end component inside the region may have an odd least priority e,
+    that is, no maximal end component of its part of priority >= e may
+    contain e.  A failed check raises InternalInvariantError.
+    """
+    owners, succ, priority = game.owners, game.succ, game.priority
+    for v in region:
+        if owners[v] is Owner.PLAYER0 and v not in choices:
+            raise InternalInvariantError(f"no almost-sure move at {game.names[v]}")
+        moves = (choices[v],) if owners[v] is Owner.PLAYER0 else succ[v]
+        if any(u not in region for u in moves):
+            raise InternalInvariantError(
+                f"the almost-sure region is not closed at {game.names[v]}")
+    fixed = restrict_choice(game, choices)
+    for e in sorted({priority[v] for v in region if priority[v] % 2}):
+        part = frozenset(v for v in region if priority[v] >= e)
+        for component in _max_end_components(fixed, Owner.PLAYER1, part):
+            if any(priority[v] == e for v in component):
+                raise InternalInvariantError(
+                    f"the almost-sure strategy loses at {game.names[min(component)]}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,40 +512,21 @@ def _first_keeping_choices(game: ObligationGame, configs: Iterable[int],
     return choices
 
 
-def _initial_sigma(game: ObligationGame) -> dict[int, int]:
-    """Start the climb from choices that realise the almost-sure region.
-
-    Within the region where Player 0 wins almost surely, fix one edge at
-    a time to the first successor under which the region is preserved;
-    this avoids the classic plateau trap of value-based switching
-    (stalling on an odd self-loop of value zero).  Only successors inside
-    the region can preserve it, since restricting Player 0 never enlarges
-    the region; and as pure memoryless strategies suffice for almost-sure
-    parity, one of them always does (``_first_keeping_choices``).
-    Outside the region the first successor is taken.
-    """
-    full = frozenset(range(len(game)))
-    region = _as_region(game, full)
-    mine = _player_states(game, Owner.PLAYER0)
-    kept = _first_keeping_choices(
-        game, (v for v in mine if v in region),
-        lambda v: [u for u in game.succ[v] if u in region],
-        lambda trial: region <= _as_region(trial, full),
-        "the almost-sure region")
-    return {v: kept.get(v, game.succ[v][0]) for v in mine}
-
-
-def _climb(game: ObligationGame) -> Values:
+def _climb(game: ObligationGame, start: dict[int, int]) -> Values:
     """Greatest best-response vector found by value-switch improvement.
 
-    Every vector returned by a best response is a certified lower bound
-    of the true values, hence so is their pointwise maximum; the climb
-    is a heuristic to make the bound tight, never a soundness argument.
+    The climb starts from the almost-sure strategy `start` inside its
+    region and from the first successor elsewhere, which avoids the
+    classic plateau trap of value-based switching (stalling on an odd
+    self-loop of value zero).  Every vector returned by a best response
+    is a certified lower bound of the true values, hence so is their
+    pointwise maximum; the climb is a heuristic to make the bound tight,
+    never a soundness argument.
     """
-    sigma = _initial_sigma(game)
+    v0 = _player_states(game, Owner.PLAYER0)
+    sigma = {v: start.get(v, game.succ[v][0]) for v in v0}
     x = _best_response_values(game, sigma)
     best = list(x)
-    v0 = _player_states(game, Owner.PLAYER0)
     for _ in range(3 * max(1, len(v0)) + _CLIMB_EXTRA_ROUNDS):
         switched = False
         for v in v0:
@@ -462,37 +557,47 @@ def solve_values(game: ObligationGame) -> Values:
     """Exact Player-0 values of an obligation-free stochastic parity game.
 
     Answers are only returned once proven: either the chain / MDP
-    special cases (exact by construction), or two-sided bounds that sum
-    to one (determinacy), or an exhaustive positional enumeration of one
-    player.  A bound gap that enumeration cannot close within the cap
-    raises BudgetExceededError; nothing unproven is ever returned.
+    special cases (exact by construction), or a qualitative certificate
+    (the two players' almost-sure regions cover the game and both
+    strategies pass ``_certify_as``, so the values are 1 and 0 there),
+    or two-sided bounds that sum to one (determinacy), or an exhaustive
+    positional enumeration of one player.  A bound gap that enumeration
+    cannot close within the cap raises BudgetExceededError; nothing
+    unproven is ever returned.
     """
     _require_parity_game(game)
     if game.is_chain():
-        vals = tuple(parity_measure(game.kernel, game.priority))
-    elif not _player_states(game, Owner.PLAYER1):
-        vals = _mdp_max_parity(game, Owner.PLAYER0)
-    elif not _player_states(game, Owner.PLAYER0):
-        vals = _best_response_values(game, {})
+        return tuple(parity_measure(game.kernel, game.priority))
+    if not _player_states(game, Owner.PLAYER1):
+        return _mdp_max_parity(game, Owner.PLAYER0)
+    if not _player_states(game, Owner.PLAYER0):
+        return _best_response_values(game, {})
+    n = len(game)
+    full = frozenset(range(n))
+    dual = dual_game(game)
+    won, sigma = _as_strategy(game, full)
+    lost, pi = _as_strategy(dual, full)
+    if won | lost == full:
+        _certify_as(game, won, sigma)
+        _certify_as(dual, lost, pi)
+        return tuple(ONE if v in won else ZERO for v in range(n))
+    lower = _climb(game, sigma)
+    counter = _climb(dual, pi)
+    if all(lower[v] + counter[v] == ONE for v in range(n)):
+        return lower
+    count0 = _strategy_count(game, Owner.PLAYER0)
+    count1 = _strategy_count(game, Owner.PLAYER1)
+    if min(count0, count1) > _ENUM_CAP:
+        raise BudgetExceededError(
+            f"two-player solve needs enumeration of "
+            f"{min(count0, count1)} strategies (cap {_ENUM_CAP})")
+    if count0 <= count1:
+        vals = _enumerate_side(game)
     else:
-        lower = _climb(game)
-        counter = _climb(dual_game(game))
-        if all(lower[v] + counter[v] == ONE for v in range(len(game))):
-            vals = lower
-        else:
-            count0 = _strategy_count(game, Owner.PLAYER0)
-            count1 = _strategy_count(game, Owner.PLAYER1)
-            if min(count0, count1) > _ENUM_CAP:
-                raise BudgetExceededError(
-                    f"two-player solve needs enumeration of "
-                    f"{min(count0, count1)} strategies (cap {_ENUM_CAP})")
-            if count0 <= count1:
-                vals = _enumerate_side(game)
-            else:
-                vals = tuple(ONE - x for x in _enumerate_side(dual_game(game)))
-            if any(vals[v] < lower[v] for v in range(len(game))) or \
-               any(ONE - vals[v] < counter[v] for v in range(len(game))):
-                raise InternalInvariantError("enumeration fell below a certified bound")
+        vals = tuple(ONE - x for x in _enumerate_side(dual))
+    if any(vals[v] < lower[v] for v in range(n)) or \
+       any(ONE - vals[v] < counter[v] for v in range(n)):
+        raise InternalInvariantError("enumeration fell below a certified bound")
     return vals
 
 
@@ -505,14 +610,20 @@ def _canonical_strategy(game: ObligationGame, values: Values, player: int,
     optimal strategy in the enumeration order used by the oracle.  Only
     successors of the same value can leave it unchanged, and as optimal
     pure memoryless strategies exist, one of them always does
-    (``_first_keeping_choices``).
+    (``_first_keeping_choices``).  Where `player` loses almost surely
+    (value 0 for Player 0, 1 for Player 1) every such successor keeps the
+    values, since from there the opponent's optimal strategy wins whatever
+    the player does; so the first is taken without a test.
     """
     mine = (Owner.PLAYER0, Owner.PLAYER1)[player]
-    choices = _first_keeping_choices(
-        game, _player_states(game, mine),
-        lambda v: [u for u in game.succ[v] if values[u] == values[v]],
-        lambda trial: solver(trial) == values,
-        "the values")
+    lost = (ZERO, ONE)[player]
+
+    def candidates(v: int) -> list[int]:
+        same = [u for u in game.succ[v] if values[u] == values[v]]
+        return same[:1] if values[v] == lost else same
+
+    choices = _first_keeping_choices(game, _player_states(game, mine), candidates,
+                                     lambda trial: solver(trial) == values, "the values")
     return PureMemorylessStrategy.from_dict(player, choices)
 
 

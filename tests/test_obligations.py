@@ -22,6 +22,7 @@ from obg.model import ONE, ZERO, ObligationGame, Owner, game_from_rows
 from obg.obligations import (_obligation_at, _pair_universe, find_odd_cycle,
                              reachable_pairs)
 from obg.parity import solve_values
+import obg.parity as parity_mod
 
 from conftest import load_chain_doc, load_game
 
@@ -544,3 +545,56 @@ def test_pre_value_thresholding_reproduces_the_verdicts(seed):
         ob = game.obligation[v]
         expected = ONE if ob.holds(report.pre_values[v]) else ZERO
         assert report.values[v] == expected
+
+
+# ---------------------------------------------------------------------------
+# Games on which the two-player solve used to stall: the value-switch climb
+# started from an incomplete almost-sure region and left a gap that only
+# enumerating strategies could close.  Now no enumeration may run.
+
+
+def nth_large_random_game(seed, k):
+    rng = random.Random(seed)
+    for _ in range(k):
+        game = random_game(rng, max_configs=160, max_obligations=4, max_priority=3)
+    return game
+
+
+def reordered(game, order):
+    """The same game with its configurations listed in `order`."""
+    position = {v: i for i, v in enumerate(order)}
+    rows = []
+    for v in order:
+        if game.owners[v] is Owner.PROBABILISTIC:
+            moves = [(position[u], p) for u, p in game.kernel[v]]
+        else:
+            moves = [position[u] for u in game.succ[v]]
+        rows.append((game.names[v], game.owners[v], game.priority[v], game.obligation[v], moves))
+    return game_from_rows(rows)
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    def refuse(game):
+        raise AssertionError("the two-player solve enumerated strategies")
+    monkeypatch.setattr(parity_mod, "_enumerate_side", refuse)
+
+
+def test_stalling_game_solves_in_every_configuration_order(no_enumeration):
+    game = nth_large_random_game(8, 14)
+    _, primal = find_best_dependency(game, witnesses=False)
+    _, counter = find_best_dependency(dual_game(game), witnesses=False)
+    assert all(a + b == ONE for a, b in zip(primal.values, counter.values))
+    by_name = dict(zip(game.names, primal.values))
+    rng = random.Random(0)
+    for _ in range(4):
+        order = list(range(len(game)))
+        rng.shuffle(order)
+        shuffled = reordered(game, order)
+        _, report = find_best_dependency(shuffled, witnesses=False)
+        assert dict(zip(shuffled.names, report.values)) == by_name
+
+
+def test_slow_enumeration_game_decides_without_enumerating(no_enumeration):
+    game = nth_large_random_game(11, 64)
+    assert decide_value(game, 0, ">=", ZERO).verdict

@@ -180,14 +180,20 @@ def test_enumeration_fallback_stays_exact(monkeypatch):
     # force the climb to return a useless bound so the exhaustive
     # fallback must reconstruct the values on its own
     monkeypatch.setattr(parity_mod, "_climb",
-                        lambda game: tuple(ZERO for _ in game.names))
+                        lambda game, start: tuple(ZERO for _ in game.names))
+    enumerate_side, enumerated = parity_mod._enumerate_side, []
+    monkeypatch.setattr(parity_mod, "_enumerate_side",
+                        lambda game: enumerated.append(game) or enumerate_side(game))
+    # Most small games have only values 0 and 1, which the almost-sure
+    # regions settle before any climb; these 200 reach the fallback 9 times.
     rng = random.Random(21)
-    for _ in range(10):
-        game = random_parity_game(rng)
+    for _ in range(200):
+        game = random_parity_game(rng, max_configs=10)
         if game.is_chain():
             continue
         assert solve_parity(game, witnesses=False).values == \
             solve_parity_oracle(game, witnesses=False).values
+    assert len(enumerated) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +237,25 @@ def naive_pos_attr(game, player, targets, sub):
         if not grow:
             return frozenset(inside)
         inside |= grow
+
+
+def check_attractor_moves(game, targets, attractor, moves):
+    """Following the moves, every member reaches the targets with positive
+    probability: the rank (steps to the targets, minimised over chance and
+    maximised over Player 1) is finite everywhere."""
+    rank = {v: 0 for v in targets}
+    while True:
+        grow = {}
+        for v in attractor - set(rank):
+            succ = [moves[v]] if v in moves else [u for u in game.succ[v] if u in attractor]
+            ranked = [rank[u] for u in succ if u in rank]
+            if game.owners[v] is Owner.PLAYER1 and len(ranked) == len(succ) or \
+               game.owners[v] is not Owner.PLAYER1 and ranked:
+                grow[v] = 1 + (max if game.owners[v] is Owner.PLAYER1 else min)(ranked)
+        if not grow:
+            break
+        rank.update(grow)
+    assert set(rank) == attractor
 
 
 def naive_as_attr(game, player, targets, sub):
@@ -295,13 +320,101 @@ def test_attractors_and_end_components_match_naive_fixpoints(seed, drop1, drop2,
     game = random_parity_game(random.Random(seed), max_configs=10)
     sub = sub_arena(game, ~(drop1 & drop2))
     targets = frozenset(v for v in range(len(game)) if target_mask >> v & 1)
-    assert parity_mod._pos_attr(game, player, targets, sub) == \
-        naive_pos_attr(game, player, targets, sub)
+    attractor = parity_mod._pos_attr(game, player, targets, sub)
+    assert attractor == naive_pos_attr(game, player, targets, sub)
+    if player is Owner.PLAYER0:
+        moves = parity_mod._attractor_moves(game, targets & sub, attractor)
+        assert set(moves) == {v for v in attractor - targets if game.owners[v] is player}
+        check_attractor_moves(game, targets & sub, attractor, moves)
     closed = kept_by(game, player, targets, sub)
     assert parity_mod._as_attr(game, player, closed, sub) == \
         naive_as_attr(game, player, closed, sub)
     assert set(parity_mod._max_end_components(game, player, sub)) == \
         naive_end_components(game, player, sub)
+
+
+def test_as_attr_iterates_to_its_greatest_fixpoint():
+    # One round of dropping the opponent's attractor of its refuge leaves
+    # {1, 2, 5}; inside that set the opponent has a new refuge.
+    game = random_parity_game(random.Random(30), max_configs=10)
+    sub = sub_arena(game, ~0)
+    closed = kept_by(game, Owner.PLAYER0, frozenset({1}), sub)
+    assert closed == {1}
+    assert parity_mod._as_attr(game, Owner.PLAYER0, closed, sub) == \
+        naive_as_attr(game, Owner.PLAYER0, closed, sub) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Almost-sure regions and their strategies: value 1 and value 0 are the two
+# players' almost-sure regions, and each strategy wins almost surely.
+
+
+def check_almost_sure_strategy(game, region, choices):
+    parity_mod._certify_as(game, region, choices)
+    mine = parity_mod._player_states(game, Owner.PLAYER0)
+    assert set(choices) == {v for v in mine if v in region}
+    sigma_full = {v: choices.get(v, game.succ[v][0]) for v in mine}
+    response = parity_mod._best_response_values(game, sigma_full)
+    assert all(response[v] == ONE for v in region)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150)
+def test_almost_sure_regions_are_the_value_one_and_zero_sets(seed):
+    primal = random_parity_game(random.Random(seed), max_configs=8)
+    full = frozenset(range(len(primal)))
+    for game in (primal, dual_game(primal)):
+        values = solve_parity_oracle(game, witnesses=False).values
+        won, sigma0 = parity_mod._as_strategy(game, full)
+        lost, sigma1 = parity_mod._as_strategy(dual_game(game), full)
+        assert won == {v for v in full if values[v] == ONE}
+        assert lost == {v for v in full if values[v] == ZERO}
+        check_almost_sure_strategy(game, won, sigma0)
+        check_almost_sure_strategy(dual_game(game), lost, sigma1)
+
+
+def test_dual_region_keeps_what_the_attractor_step_leaves_out():
+    # Player 1 wins almost surely at c0, c3, c7 and c9 too, which lie
+    # outside the region's almost-sure attractor in the first round.
+    P, P0, P1 = Owner.PROBABILISTIC, Owner.PLAYER0, Owner.PLAYER1
+    owners = (P, P, P, P1, P, P1, P0, P0, P1, P0)
+    succ = ((4, 9), (1,), (2,), (9,), (5,), (2,), (1, 9), (0, 5), (2, 9), (0, 9))
+    priority = (2, 0, 1, 3, 3, 0, 3, 1, 3, 3)
+    names = [f"c{i}" for i in range(10)]
+    kernel = {names[v]: {names[u]: ONE for u in succ[v]} for v in (1, 2, 4, 5)}
+    kernel["c0"] = {"c4": F(1, 3), "c9": F(2, 3)}
+    game = make_game([(names[v], owners[v], priority[v], None) for v in range(10)],
+                     [(names[v], names[u]) for v in range(10) for u in succ[v]], kernel)
+    full = frozenset(range(10))
+    values = solve_parity_oracle(game, witnesses=False).values
+    assert {v for v in full if values[v] == ZERO} == {0, 2, 3, 4, 5, 7, 8, 9}
+    lost, sigma1 = parity_mod._as_strategy(dual_game(game), full)
+    assert lost == {0, 2, 3, 4, 5, 7, 8, 9}
+    check_almost_sure_strategy(dual_game(game), lost, sigma1)
+    won, sigma0 = parity_mod._as_strategy(game, full)
+    assert won == {1, 6}
+    check_almost_sure_strategy(game, won, sigma0)
+    assert solve_parity(game) == solve_parity_oracle(game)
+
+
+def test_certificate_rejects_strategies_that_do_not_win_almost_surely():
+    # a: Player 0 chooses between an odd self-loop and the even sink b;
+    # c: Player 1 chooses between b and a.
+    game = make_game([("a", Owner.PLAYER0, 1, None), ("b", Owner.PROBABILISTIC, 0, None),
+                      ("c", Owner.PLAYER1, 0, None)],
+                     [("a", "a"), ("a", "b"), ("b", "b"), ("c", "a"), ("c", "b")],
+                     {"b": {"b": ONE}})
+    full = frozenset(range(3))
+    assert parity_mod._as_strategy(game, full) == (full, {0: 1})
+    parity_mod._certify_as(game, full, {0: 1})
+    with pytest.raises(InternalInvariantError):  # stays on the odd loop
+        parity_mod._certify_as(game, full, {0: 0})
+    with pytest.raises(InternalInvariantError):  # a is not closed
+        parity_mod._certify_as(game, frozenset({0, 2}), {0: 0})
+    with pytest.raises(InternalInvariantError):  # c is not closed
+        parity_mod._certify_as(game, frozenset({1, 2}), {})
+    with pytest.raises(InternalInvariantError):  # no move at a
+        parity_mod._certify_as(game, full, {})
 
 
 # ---------------------------------------------------------------------------
@@ -434,24 +547,6 @@ def test_max_end_components_match_the_whole_set_refinement():
 # which try every successor of every owned configuration in order.
 
 
-def naive_initial_sigma(game):
-    full = frozenset(range(len(game)))
-    region = parity_mod._as_region(game, full)
-    sigma, current = {}, game
-    for v in parity_mod._player_states(game, Owner.PLAYER0):
-        if v not in region:
-            sigma[v] = game.succ[v][0]
-            continue
-        for u in current.succ[v]:
-            trial = restrict_choice(current, {v: u})
-            if region <= parity_mod._as_region(trial, full):
-                current, sigma[v] = trial, u
-                break
-        else:
-            raise AssertionError("no choice preserves the region")
-    return sigma
-
-
 def naive_canonical_strategy(game, values, player, solver):
     mine = (Owner.PLAYER0, Owner.PLAYER1)[player]
     current, choices = game, {}
@@ -471,7 +566,6 @@ def naive_canonical_strategy(game, values, player, solver):
 def test_first_keeping_choices_match_the_naive_loops(seed):
     primal = random_parity_game(random.Random(seed), max_configs=10)
     for game in (primal, dual_game(primal)):
-        assert parity_mod._initial_sigma(game) == naive_initial_sigma(game)
         values = parity_mod.solve_values(game)
         for player in (0, 1):
             assert parity_mod._canonical_strategy(game, values, player,
@@ -514,26 +608,46 @@ def test_canonical_strategy_needs_fewer_solves_than_the_naive_loop():
     assert (fast_calls, len(calls)) == (2, 7)
 
 
-def test_initial_sigma_skips_the_final_test_after_a_passing_one(monkeypatch):
+def test_canonical_strategy_takes_hopeless_moves_untested():
+    # Player 0 loses at a and b whatever it does, so each takes its first
+    # successor, and only the finished restriction is solved; the naive
+    # loop solves once per configuration.
+    game = make_game([("a", Owner.PLAYER0, 1, None), ("b", Owner.PLAYER0, 1, None),
+                      ("x", Owner.PROBABILISTIC, 1, None), ("y", Owner.PROBABILISTIC, 1, None)],
+                     [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("x", "x"), ("y", "y")],
+                     {"x": {"x": ONE}, "y": {"y": ONE}})
+    values = parity_mod.solve_values(game)
+    assert values == (ZERO,) * 4
+    calls = []
+
+    def counting(trial):
+        calls.append(trial)
+        return parity_mod.solve_values(trial)
+
+    fast = parity_mod._canonical_strategy(game, values, 0, counting)
+    assert (fast.as_dict(), len(calls)) == ({0: 2, 1: 2}, 1)
+    calls.clear()
+    assert naive_canonical_strategy(game, values, 0, counting) == fast
+    assert len(calls) == 2
+
+
+def test_first_keeping_choices_skips_the_final_test_after_a_passing_one():
     # Both configurations win almost surely.  At a the odd self-loop is
     # tested and fails, so b is taken untested; at b the self-loop-free
     # choice a is tested and passes, which tests the finished restriction.
     game = make_game([("a", Owner.PLAYER0, 1, None), ("b", Owner.PLAYER0, 0, None)],
                      [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")], {})
-    as_region, depth, top_calls = parity_mod._as_region, [0], []
+    full = frozenset(range(2))
+    tested = []
 
-    def counting(trial, sub):
-        top_calls.append(depth[0] == 0)
-        depth[0] += 1
-        try:
-            return as_region(trial, sub)
-        finally:
-            depth[0] -= 1
+    def keeps_region(trial):
+        tested.append(trial)
+        return parity_mod._as_strategy(trial, full)[0] == full
 
-    monkeypatch.setattr(parity_mod, "_as_region", counting)
-    assert parity_mod._initial_sigma(game) == {0: 1, 1: 0}
-    # one call for the region plus one per tested candidate (a->a, b->a)
-    assert sum(top_calls) == 1 + 2
+    choices = parity_mod._first_keeping_choices(
+        game, (0, 1), lambda v: list(game.succ[v]), keeps_region, "the region")
+    assert choices == {0: 1, 1: 0}
+    assert [t.succ for t in tested] == [((0,), (0, 1)), ((1,), (0,))]
 
 
 def test_solved_games_can_be_garbage_collected():
