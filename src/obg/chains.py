@@ -74,6 +74,17 @@ def bscc_decompose(rows: Rows,
     return BsccDecomposition(tuple(bsccs), transient, accepting)
 
 
+def _can_reach(rows: Rows, target: frozenset[int], avoid: frozenset[int]) -> set[int]:
+    """Locations that reach `target` without passing through `avoid`:
+    backward reachability through the non-avoid locations."""
+    preds: list[list[int]] = [[] for _ in rows]
+    for v, row in enumerate(rows):
+        if v not in avoid:
+            for t, _ in row:
+                preds[t].append(v)
+    return reachable_from(target, lambda v: preds[v])
+
+
 def reach_probability(rows: Rows,
                       target: frozenset[int] | set[int],
                       avoid: frozenset[int] | set[int] = frozenset()) -> list[Fraction]:
@@ -82,15 +93,9 @@ def reach_probability(rows: Rows,
     avoid = frozenset(avoid)
     if target & avoid:
         raise InputFormatError("target and avoid sets must be disjoint")
-    n = len(rows)
-    # Backward reachability through non-avoid locations: everything else is sure-zero.
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if v not in avoid:
-            for t, _ in rows[v]:
-                preds[t].append(v)
-    can_reach = reachable_from(target, lambda v: preds[v])
-    values = [ZERO] * n
+    # Everything that cannot reach the target is sure-zero.
+    can_reach = _can_reach(rows, target, avoid)
+    values = [ZERO] * len(rows)
     for t in target:
         values[t] = ONE
     unknown = sorted(can_reach - target)
@@ -242,9 +247,10 @@ def monte_carlo_estimate(mc: LabeledMarkovChain,
     """Seeded simulation estimate with a 99% Wilson interval.
 
     Parity runs are classified as soon as the walk enters a bottom SCC
-    (entering one decides the parity class almost surely); runs still
-    outside every bottom SCC at the horizon count as failures.  Never
-    used inside solver decisions.
+    (entering one decides the parity class almost surely), and reach
+    runs as soon as the walk enters a location from which the target
+    cannot be reached; runs still undecided at the horizon count as
+    failures.  Never used inside solver decisions.
     """
     if samples < 1:
         raise InputFormatError("samples must be >= 1")
@@ -276,7 +282,10 @@ def monte_carlo_estimate(mc: LabeledMarkovChain,
                 v = _sample(cumulative[v], rng)
             return False
     else:
-        target, avoid = objective.target, objective.avoid
+        # A walk that can no longer reach the target has failed: without
+        # this it would run on to the horizon.
+        target = objective.target
+        avoid = frozenset(range(len(mc))) - _can_reach(mc.succ, target, objective.avoid)
 
         def run() -> bool:
             v = start_loc

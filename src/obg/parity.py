@@ -53,16 +53,18 @@ Reported witness strategies are canonical so both solvers return the
 same object: the lexicographically first optimal strategy (by
 configuration index, then successor index), obtained by fixing one
 choice at a time to the first successor that leaves the value vector
-unchanged.  Only successors with the configuration's own value are
-tried, and the last of them is taken without a re-solve: optimal pure
-memoryless strategies exist in every restriction that keeps the values,
-so when all earlier ones change the values the last one keeps them.
-The finished restriction is re-solved once to check this, unless it
-equals the last re-solved restriction that kept them
-(``_first_keeping_choices``).  The climbs need no such search: they
-start from the almost-sure strategies, which already realise value 1 on
-their regions.  Enumeration in the oracle may be parallelized over
-Player-0 strategies as long as this deterministic reduction is kept.
+unchanged.  Whether a restriction of one player's moves keeps the values
+is decided on the graph alone, by the value-class characterisation of
+Chatterjee, Jurdziński & Henzinger: the player must still win almost
+surely, from all of each value class of positive value, the class game
+in which the other classes and the chance configurations leaving the
+class are settled (``_class_game``, ``_keeps_values``).  The finished
+strategy is certified the same way, with ``_certify_as`` on each class
+game, so a witness costs no linear system.  The climbs need no such
+search: they start from the almost-sure strategies, which already
+realise value 1 on their regions.  Enumeration in the oracle may be
+parallelized over Player-0 strategies as long as this deterministic
+reduction is kept.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .chains import Rows, parity_measure, reach_probability
@@ -475,43 +477,6 @@ def _strategies(game: ObligationGame, player: Owner) -> Iterator[dict[int, int]]
         yield dict(zip(states, combo))
 
 
-def _first_keeping_choices(game: ObligationGame, configs: Iterable[int],
-                           candidates: Callable[[int], list[int]],
-                           keeps: Callable[[ObligationGame], bool],
-                           what: str) -> dict[int, int]:
-    """Fix each of `configs` in turn to its first candidate successor whose
-    restriction, on top of the choices fixed so far, still `keeps` the
-    property `what`; the finished restriction is tested once more unless
-    it equals the last restriction that passed a test, that is, unless
-    every choice fixed since then is a configuration's only successor.
-
-    Callers guarantee that `candidates` contains every successor that can
-    keep the property and that, in any restriction keeping it, some
-    positional strategy keeps it too.  That strategy's choice is then a
-    candidate which keeps the property, so when every earlier candidate
-    fails the last one is taken untested.  Restricting further never
-    restores a lost property, so a wrong choice anywhere also fails the
-    final test.  Before any test passes, the reference restriction is the
-    input game, which keeps the property by the callers' contract.
-    """
-    choices: dict[int, int] = {}
-    changed = False  # the restriction differs from the last one that passed
-    for v in configs:
-        options = candidates(v)
-        if not options:
-            raise InternalInvariantError(f"no choice at {game.names[v]} keeps {what}")
-        for u in options[:-1]:
-            if keeps(restrict_choice(game, {**choices, v: u})):
-                choices[v], changed = u, False
-                break
-        else:
-            choices[v] = options[-1]
-            changed |= len(game.succ[v]) > 1
-    if changed and not keeps(restrict_choice(game, choices)):
-        raise InternalInvariantError(f"the fixed choices do not keep {what}")
-    return choices
-
-
 def _climb(game: ObligationGame, start: dict[int, int]) -> Values:
     """Greatest best-response vector found by value-switch improvement.
 
@@ -601,39 +566,113 @@ def solve_values(game: ObligationGame) -> Values:
     return vals
 
 
-def _canonical_strategy(game: ObligationGame, values: Values, player: int,
-                        solver: Callable[[ObligationGame], Values]) -> PureMemorylessStrategy:
-    """Lexicographically first optimal strategy for `player`.
+def _class_game(game: ObligationGame, x: Sequence[Fraction | int],
+                r: Fraction | int) -> ObligationGame:
+    """The game of the value class C = {v : x[v] = r}, for values `x` or
+    any labels ordered like them (such as ``_player_view``'s classes).
 
-    Fixes one owned configuration at a time to its smallest successor
-    that leaves the value vector unchanged; the result equals the first
-    optimal strategy in the enumeration order used by the oracle.  Only
-    successors of the same value can leave it unchanged, and as optimal
-    pure memoryless strategies exist, one of them always does
-    (``_first_keeping_choices``).  Where `player` loses almost surely
-    (value 0 for Player 0, 1 for Player 1) every such successor keeps the
-    values, since from there the opponent's optimal strategy wins whatever
-    the player does; so the first is taken without a test.
+    Every configuration outside C is settled, as won when its value is
+    above r and as lost when below, and so is every chance configuration
+    in C with a successor outside C, as won: the play leaves C from there
+    with positive probability, upward and downward, and keeps r on
+    average (Chatterjee, Jurdziński & Henzinger, SODA 2004).
     """
-    mine = (Owner.PLAYER0, Owner.PLAYER1)[player]
+    settled = {v: x[v] > r for v in range(len(game)) if x[v] != r}
+    settled.update((v, True) for v in range(len(game))
+                   if x[v] == r and game.owners[v] is Owner.PROBABILISTIC
+                   and any(x[u] != r for u in game.succ[v]))
+    return settle(game, settled)
+
+
+def _player_view(game: ObligationGame, values: Values,
+                 player: int) -> tuple[ObligationGame, tuple[int, ...], list[int]]:
+    """`game` with `player` as Player 0 (the dual game for Player 1); each
+    configuration's value class, numbered from `player`'s lowest value
+    up; and the classes where `player`'s value is positive."""
+    if player:
+        game = dual_game(game)
+    levels = sorted(set(values), reverse=bool(player))
+    number = {r: k for k, r in enumerate(levels)}
     lost = (ZERO, ONE)[player]
+    return (game, tuple(number[x] for x in values),
+            [k for k, r in enumerate(levels) if r != lost])
 
-    def candidates(v: int) -> list[int]:
-        same = [u for u in game.succ[v] if values[u] == values[v]]
-        return same[:1] if values[v] == lost else same
 
-    choices = _first_keeping_choices(game, _player_states(game, mine), candidates,
-                                     lambda trial: solver(trial) == values, "the values")
+def _keeps_values(game: ObligationGame, rank: tuple[int, ...], classes: list[int]) -> bool:
+    """Whether Player 0 wins the class game of each of `classes` almost
+    surely from all of its class, in `game`, a restriction of Player 0's
+    moves in a game whose value classes are `rank` (``_player_view``).
+
+    The restriction keeps the values exactly when this holds for every
+    class of positive value.  If it holds, the values of the play's
+    classes form a submartingale against any opponent, which settles in
+    one class, and in a class of positive value the parity objective is
+    then won almost surely; conversely an optimal strategy of a
+    restriction that keeps the values wins each class game so.  A class
+    game depends only on the moves inside its class, and it is solved on
+    the class and its settled successors.  No linear system is solved.
+    """
+    for k in classes:
+        cls = frozenset(v for v in range(len(game)) if rank[v] == k)
+        class_game = _class_game(game, rank, k)
+        won, _ = _as_strategy(class_game, cls.union(*(class_game.succ[v] for v in cls)))
+        if not cls <= won:
+            return False
+    return True
+
+
+def _canonical_strategy(game: ObligationGame, values: Values,
+                        player: int) -> PureMemorylessStrategy:
+    """Lexicographically first optimal strategy for `player`, certified on
+    the graph.
+
+    Fixes one owned configuration v at a time, in index order, to its
+    smallest successor that keeps the values on top of the choices fixed
+    so far; the result equals the first optimal strategy in the
+    enumeration order used by the oracle.  The choices so far keep the
+    values, so ``_keeps_values`` tests v's class alone.  Only successors
+    of v's value can keep them, and as optimal pure memoryless strategies
+    exist in every restriction that keeps them, one of those does: when
+    all earlier ones fail, the last is taken untested.  Where `player`
+    loses almost surely (value 0 for Player 0, 1 for Player 1) any of them
+    keeps the values, since the opponent's optimal strategy wins from
+    there whatever the player does, so the first is taken untested.
+
+    The finished strategy is certified: for each class of positive value
+    r for `player`, it must win that class game almost surely from every
+    configuration of value at least r (``_certify_as``), which proves by
+    the argument of ``_keeps_values`` that it secures the values.  A
+    failure raises InternalInvariantError.
+    """
+    seen, rank, classes = _player_view(game, values, player)
+    choices: dict[int, int] = {}
+    for v in _player_states(game, (Owner.PLAYER0, Owner.PLAYER1)[player]):
+        same = [u for u in game.succ[v] if rank[u] == rank[v]]
+        if not same:
+            raise InternalInvariantError(f"no choice at {game.names[v]} keeps the values")
+        if rank[v] not in classes:
+            same = same[:1]
+        choices[v] = next((u for u in same[:-1] if _keeps_values(
+            restrict_choice(seen, {**choices, v: u}), rank, [rank[v]])), same[-1])
+    for k in classes:
+        _certify_as(_class_game(seen, rank, k),
+                    frozenset(v for v in range(len(game)) if rank[v] >= k),
+                    {v: u for v, u in choices.items() if rank[v] == k})
     return PureMemorylessStrategy.from_dict(player, choices)
 
 
 def solve_parity(game: ObligationGame, *, witnesses: bool = True) -> ValueVector:
-    """Fast exact solver; bit-identical to the oracle wherever both run."""
+    """Fast exact solver; bit-identical to the oracle wherever both run.
+
+    The values come from ``solve_values``; with `witnesses`, each player's
+    canonical optimal strategy is then read off them on the graph and
+    certified there (``_canonical_strategy``), without a further solve.
+    """
     values = solve_values(game)
     sigma = pi = None
     if witnesses:
-        sigma = _canonical_strategy(game, values, 0, solve_values)
-        pi = _canonical_strategy(game, values, 1, solve_values)
+        sigma = _canonical_strategy(game, values, 0)
+        pi = _canonical_strategy(game, values, 1)
     return ValueVector(values=values, sigma=sigma, pi=pi)
 
 
@@ -716,7 +755,7 @@ def decide_parity_threshold(game: ObligationGame, config: int, cmp: str,
     value = values[config]
     verdict = value >= threshold if cmp == GE else value > threshold
     player = 0 if verdict else 1
-    certificate = _canonical_strategy(game, values, player, solve_values)
+    certificate = _canonical_strategy(game, values, player)
 
     def measure_against(opponent: PureMemorylessStrategy) -> Fraction:
         if player == 0:
@@ -730,7 +769,7 @@ def decide_parity_threshold(game: ObligationGame, config: int, cmp: str,
         opponents = [PureMemorylessStrategy.from_dict(1 - player, s)
                      for s in _strategies(game, opposing_owner)]
     else:
-        opponents = [_canonical_strategy(game, values, 1 - player, solve_values)]
+        opponents = [_canonical_strategy(game, values, 1 - player)]
     for opponent in opponents:
         achieved = measure_against(opponent)
         sound = achieved >= value if player == 0 else achieved <= value

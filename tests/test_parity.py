@@ -6,7 +6,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obg import (InputFormatError, InternalInvariantError, OracleInfeasibleError,
@@ -543,8 +543,9 @@ def test_max_end_components_match_the_whole_set_refinement():
 
 
 # ---------------------------------------------------------------------------
-# First-keeping-choice search: the naive one-at-a-time loops it replaced,
-# which try every successor of every owned configuration in order.
+# Canonical witnesses: the naive one-at-a-time loop they replaced, which
+# re-solves the game for every successor of every owned configuration,
+# and the graph-only keep test and certification that replace the re-solves.
 
 
 def naive_canonical_strategy(game, values, player, solver):
@@ -568,30 +569,123 @@ def test_first_keeping_choices_match_the_naive_loops(seed):
     for game in (primal, dual_game(primal)):
         values = parity_mod.solve_values(game)
         for player in (0, 1):
-            assert parity_mod._canonical_strategy(game, values, player,
-                                                  parity_mod.solve_values) == \
+            assert parity_mod._canonical_strategy(game, values, player) == \
                 naive_canonical_strategy(game, values, player, parity_mod.solve_values)
 
 
-def test_canonical_strategy_tests_the_final_restriction():
-    # The solver lies only once the player is left a single choice
-    # everywhere, which the search reaches only in its final test.
-    game = random_parity_game(random.Random(16), max_configs=10)
-    values = parity_mod.solve_values(game)
-    for player, owner in ((0, Owner.PLAYER0), (1, Owner.PLAYER1)):
-        mine = parity_mod._player_states(game, owner)
-        assert any(len(game.succ[v]) > 1 for v in mine)
-
-        def lying(trial):
-            if all(len(trial.succ[v]) == 1 for v in mine):
-                return ()
-            return parity_mod.solve_values(trial)
-
-        with pytest.raises(InternalInvariantError):
-            parity_mod._canonical_strategy(game, values, player, lying)
+def restricted(game, keep):
+    """`game` with each configuration in `keep` left the listed successors."""
+    return replace(game, succ=tuple(tuple(keep.get(v, succ)) for v, succ in enumerate(game.succ)))
 
 
-def test_canonical_strategy_needs_fewer_solves_than_the_naive_loop():
+def random_restriction(game, owner, rng):
+    return restricted(game, {v: [u for u in game.succ[v] if rng.random() < 0.6]
+                             or [rng.choice(game.succ[v])]
+                             for v in range(len(game)) if game.owners[v] is owner})
+
+
+def assert_keep_test_is_exact(game, trial, values, player):
+    keeps = parity_mod._keeps_values(*parity_mod._player_view(trial, values, player))
+    assert keeps == (parity_mod.solve_values(trial) == values)
+    return keeps
+
+
+# Seeds of max_configs=14 games with two or three fractional values.
+FRACTIONAL_SEEDS = (445, 1727, 1257, 328)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=300)
+@example(FRACTIONAL_SEEDS[0], 0)
+@example(FRACTIONAL_SEEDS[1], 1)
+def test_keep_test_agrees_with_a_re_solve(seed, restriction_seed):
+    primal = random_parity_game(random.Random(seed), max_configs=14)
+    rng = random.Random(restriction_seed)
+    for game in (primal, dual_game(primal)):
+        values = parity_mod.solve_values(game)
+        for player, owner in ((0, Owner.PLAYER0), (1, Owner.PLAYER1)):
+            for _ in range(3):
+                assert_keep_test_is_exact(game, random_restriction(game, owner, rng),
+                                          values, player)
+
+
+def test_keep_test_agrees_with_a_re_solve_on_every_restriction_of_fractional_games():
+    outcomes = set()
+    for seed in FRACTIONAL_SEEDS:
+        primal = random_parity_game(random.Random(seed), max_configs=14)
+        for game in (primal, dual_game(primal)):
+            values = parity_mod.solve_values(game)
+            assert len(set(values) - {ZERO, ONE}) >= 2
+            for player, owner in ((0, Owner.PLAYER0), (1, Owner.PLAYER1)):
+                mine = parity_mod._player_states(game, owner)
+                subsets = [[c for k in range(1, len(game.succ[v]) + 1)
+                            for c in itertools.combinations(game.succ[v], k)] for v in mine]
+                for combo in itertools.product(*subsets):
+                    trial = restricted(game, dict(zip(mine, combo)))
+                    outcomes.add(assert_keep_test_is_exact(game, trial, values, player))
+    assert outcomes == {True, False}
+
+
+def test_canonical_strategy_tests_the_final_restriction(monkeypatch):
+    # A lying keep test plants the first (or, answering no, the last)
+    # same-valued successor everywhere.  In these games that loses value
+    # for the player, so the certification of the finished strategy must
+    # reject it.
+    for seed, player in ((0, 1), (36, 0)):
+        game = random_parity_game(random.Random(seed), max_configs=10)
+        values = parity_mod.solve_values(game)
+        for answer in (True, False):
+            monkeypatch.setattr(parity_mod, "_keeps_values", lambda *args: answer)
+            with pytest.raises(InternalInvariantError):
+                parity_mod._canonical_strategy(game, values, player)
+
+
+def planted_strategy(game, values, player, first):
+    """The strategy a keep test answering always yes (`first`) or always
+    no plants: the first or last successor of the same value, and the
+    first where the player loses almost surely."""
+    mine = (Owner.PLAYER0, Owner.PLAYER1)[player]
+    lost = (ZERO, ONE)[player]
+    choices = {}
+    for v in parity_mod._player_states(game, mine):
+        same = [u for u in game.succ[v] if values[u] == values[v]]
+        choices[v] = same[0] if first or values[v] == lost else same[-1]
+    return choices
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=150)
+def test_certification_rejects_exactly_the_planted_strategies_that_lose_value(seed, answer):
+    primal = random_parity_game(random.Random(seed), max_configs=10)
+    for game in (primal, dual_game(primal)):
+        values = parity_mod.solve_values(game)
+        for player in (0, 1):
+            planted = planted_strategy(game, values, player, answer)
+            if player == 0:
+                secures = parity_mod._best_response_values(game, planted) == values
+            else:
+                secures = parity_mod._best_response_values(dual_game(game), planted) == \
+                    tuple(ONE - x for x in values)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(parity_mod, "_keeps_values", lambda *args: answer)
+                if secures:
+                    assert parity_mod._canonical_strategy(game, values, player) == \
+                        PureMemorylessStrategy.from_dict(player, planted)
+                else:
+                    with pytest.raises(InternalInvariantError):
+                        parity_mod._canonical_strategy(game, values, player)
+
+
+def no_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a canonical witness solved a linear system")
+
+    for name in ("solve_values", "reach_probability", "parity_measure"):
+        monkeypatch.setattr(parity_mod, name, refuse)
+
+
+def test_canonical_strategy_needs_fewer_solves_than_the_naive_loop(monkeypatch):
+    # The naive loop solves the game 7 times; the keep tests solve none.
     game = random_parity_game(random.Random(16), max_configs=10)
     values = parity_mod.solve_values(game)
     calls = []
@@ -600,18 +694,28 @@ def test_canonical_strategy_needs_fewer_solves_than_the_naive_loop():
         calls.append(trial)
         return parity_mod.solve_values(trial)
 
-    fast = [parity_mod._canonical_strategy(game, values, p, counting) for p in (0, 1)]
-    fast_calls = len(calls)
-    calls.clear()
     naive = [naive_canonical_strategy(game, values, p, counting) for p in (0, 1)]
-    assert fast == naive
-    assert (fast_calls, len(calls)) == (2, 7)
+    assert len(calls) == 7
+    no_linear_algebra(monkeypatch)
+    assert [parity_mod._canonical_strategy(game, values, p) for p in (0, 1)] == naive
 
 
-def test_canonical_strategy_takes_hopeless_moves_untested():
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(parity_mod, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(parity_mod, name, counting)
+    return calls
+
+
+def test_canonical_strategy_takes_hopeless_moves_untested(monkeypatch):
     # Player 0 loses at a and b whatever it does, so each takes its first
-    # successor, and only the finished restriction is solved; the naive
-    # loop solves once per configuration.
+    # successor without a keep test, and no class game is solved; the
+    # naive loop solves once per configuration.
     game = make_game([("a", Owner.PLAYER0, 1, None), ("b", Owner.PLAYER0, 1, None),
                       ("x", Owner.PROBABILISTIC, 1, None), ("y", Owner.PROBABILISTIC, 1, None)],
                      [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("x", "x"), ("y", "y")],
@@ -624,30 +728,29 @@ def test_canonical_strategy_takes_hopeless_moves_untested():
         calls.append(trial)
         return parity_mod.solve_values(trial)
 
-    fast = parity_mod._canonical_strategy(game, values, 0, counting)
-    assert (fast.as_dict(), len(calls)) == ({0: 2, 1: 2}, 1)
-    calls.clear()
-    assert naive_canonical_strategy(game, values, 0, counting) == fast
+    assert naive_canonical_strategy(game, values, 0, counting).as_dict() == {0: 2, 1: 2}
     assert len(calls) == 2
+    tests = count_calls(monkeypatch, "_keeps_values")
+    regions = count_calls(monkeypatch, "_as_strategy")
+    no_linear_algebra(monkeypatch)
+    assert parity_mod._canonical_strategy(game, values, 0).as_dict() == {0: 2, 1: 2}
+    assert (len(tests), len(regions)) == (0, 0)
 
 
-def test_first_keeping_choices_skips_the_final_test_after_a_passing_one():
+def test_canonical_strategy_takes_the_last_candidate_untested(monkeypatch):
     # Both configurations win almost surely.  At a the odd self-loop is
     # tested and fails, so b is taken untested; at b the self-loop-free
-    # choice a is tested and passes, which tests the finished restriction.
+    # choice a is tested and passes.  The finished strategy is certified
+    # on the graph, not tested again.
     game = make_game([("a", Owner.PLAYER0, 1, None), ("b", Owner.PLAYER0, 0, None)],
                      [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")], {})
-    full = frozenset(range(2))
-    tested = []
-
-    def keeps_region(trial):
-        tested.append(trial)
-        return parity_mod._as_strategy(trial, full)[0] == full
-
-    choices = parity_mod._first_keeping_choices(
-        game, (0, 1), lambda v: list(game.succ[v]), keeps_region, "the region")
-    assert choices == {0: 1, 1: 0}
-    assert [t.succ for t in tested] == [((0,), (0, 1)), ((1,), (0,))]
+    values = parity_mod.solve_values(game)
+    assert values == (ONE, ONE)
+    tests = count_calls(monkeypatch, "_keeps_values")
+    certified = count_calls(monkeypatch, "_certify_as")
+    assert parity_mod._canonical_strategy(game, values, 0).as_dict() == {0: 1, 1: 0}
+    assert [trial.succ for trial, _, _ in tests] == [((0,), (0, 1)), ((1,), (0,))]
+    assert len(certified) == 1
 
 
 def test_solved_games_can_be_garbage_collected():
