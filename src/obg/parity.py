@@ -23,14 +23,17 @@ run:
   First, though, the game is solved qualitatively: by qualitative
   determinacy, value 1 and value 0 are exactly the two players'
   almost-sure regions, and ``_as_strategy`` returns each with a
-  positional strategy.  When the regions cover the game, both
-  strategies pass a graph-only certificate (``_certify_as``) and the
-  values are 0/1 without a best response.  Otherwise a
-  strategy-improvement climb, started from those strategies, is run on
-  both sides; if the two bounds sum to one at every configuration, they
-  provably *are* the values.  Any remaining gap is closed by enumerating
-  the positional strategies of whichever player has fewer (exact by
-  positional determinacy), within a budget.
+  positional strategy, and both strategies must pass a graph-only
+  certificate (``_certify_as``).  When the regions cover the game, the
+  values are 0/1 without a best response.  Otherwise the rest is solved
+  on a compact residual game (``_residual``), in which each region is
+  one absorbing sink of its value: by the chain / MDP analysis when one
+  player owns none of it, else by a strategy-improvement climb on it
+  and on its dual; if the two bounds sum to one at every
+  configuration, they provably *are* the values.  Any remaining gap is
+  closed by enumerating the residual's positional strategies of
+  whichever player has fewer (exact by positional determinacy), within
+  a budget.
 
 The qualitative analysis rests on one trap fixpoint, ``_sure_safe``, a
 worklist over predecessor lists and successor counters built per call,
@@ -60,11 +63,9 @@ surely, from all of each value class of positive value, the class game
 in which the other classes and the chance configurations leaving the
 class are settled (``_class_game``, ``_keeps_values``).  The finished
 strategy is certified the same way, with ``_certify_as`` on each class
-game, so a witness costs no linear system.  The climbs need no such
-search: they start from the almost-sure strategies, which already
-realise value 1 on their regions.  Enumeration in the oracle may be
-parallelized over Player-0 strategies as long as this deterministic
-reduction is kept.
+game, so a witness costs no linear system.  Enumeration in the oracle
+may be parallelized over Player-0 strategies as long as this
+deterministic reduction is kept.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError, OracleInfeasibleError)
 from .graphs import tarjan_scc
 from .model import (GE, GT, ONE, OPPONENT, ZERO, ObligationGame, Owner,
-                    PureMemorylessStrategy, dual_game, restrict_choice, settle)
+                    PureMemorylessStrategy, dual_game, game_from_rows,
+                    restrict_choice, settle)
 
 Values = tuple[Fraction, ...]
 
@@ -455,8 +457,9 @@ def _best_response_values(game: ObligationGame, sigma: dict[int, int]) -> Values
 
 
 # ---------------------------------------------------------------------------
-# Two-player solve: climb on both sides, certify by determinacy, close
-# any remaining gap by enumerating the smaller strategy space.
+# Two-player solve: settle the almost-sure regions, climb on both sides of
+# the residual game, certify by determinacy, close any remaining gap by
+# enumerating the smaller strategy space.
 
 _ENUM_CAP = 4096
 _CLIMB_EXTRA_ROUNDS = 10
@@ -477,19 +480,19 @@ def _strategies(game: ObligationGame, player: Owner) -> Iterator[dict[int, int]]
         yield dict(zip(states, combo))
 
 
-def _climb(game: ObligationGame, start: dict[int, int]) -> Values:
+def _climb(game: ObligationGame) -> Values:
     """Greatest best-response vector found by value-switch improvement.
 
-    The climb starts from the almost-sure strategy `start` inside its
-    region and from the first successor elsewhere, which avoids the
-    classic plateau trap of value-based switching (stalling on an odd
-    self-loop of value zero).  Every vector returned by a best response
-    is a certified lower bound of the true values, hence so is their
-    pointwise maximum; the climb is a heuristic to make the bound tight,
-    never a soundness argument.
+    The climb starts from each Player-0 configuration's first successor.
+    It runs on the residual game (``_residual``), which holds no
+    almost-sure region but its two sinks, so no odd self-loop of value
+    zero inside a region can trap value-based switching there.  Every
+    vector returned by a best response is a certified lower bound of the
+    true values, hence so is their pointwise maximum; the climb is a
+    heuristic to make the bound tight, never a soundness argument.
     """
     v0 = _player_states(game, Owner.PLAYER0)
-    sigma = {v: start.get(v, game.succ[v][0]) for v in v0}
+    sigma = {v: game.succ[v][0] for v in v0}
     x = _best_response_values(game, sigma)
     best = list(x)
     for _ in range(3 * max(1, len(v0)) + _CLIMB_EXTRA_ROUNDS):
@@ -518,37 +521,54 @@ def _enumerate_side(game: ObligationGame) -> Values:
                              for sigma in _strategies(game, Owner.PLAYER0)))
 
 
-def solve_values(game: ObligationGame) -> Values:
-    """Exact Player-0 values of an obligation-free stochastic parity game.
+def _residual(game: ObligationGame, won: frozenset[int],
+              lost: frozenset[int]) -> tuple[ObligationGame, list[int]]:
+    """The game left by the two almost-sure regions, and the configurations
+    it keeps, in index order.
 
-    Answers are only returned once proven: either the chain / MDP
-    special cases (exact by construction), or a qualitative certificate
-    (the two players' almost-sure regions cover the game and both
-    strategies pass ``_certify_as``, so the values are 1 and 0 there),
-    or two-sided bounds that sum to one (determinacy), or an exhaustive
-    positional enumeration of one player.  A bound gap that enumeration
-    cannot close within the cap raises BudgetExceededError; nothing
-    unproven is ever returned.
+    Those configurations come first, in that order, then one absorbing
+    won sink (priority 0) and one absorbing lost sink (priority 1); every
+    edge and kernel entry into `won` or `lost` goes to its sink.  When
+    both regions are certified, composing strategies shows that the
+    residual's values are the game's: a player wins a region almost
+    surely from anywhere in it, whatever happened before.
     """
-    _require_parity_game(game)
+    keep = [v for v in range(len(game)) if v not in won and v not in lost]
+    target = {v: i for i, v in enumerate(keep)}
+    target.update(dict.fromkeys(won, len(keep)))
+    target.update(dict.fromkeys(lost, len(keep) + 1))
+    rows = []
+    for v in keep:
+        if game.owners[v] is Owner.PROBABILISTIC:
+            moves = [(target[u], p) for u, p in game.kernel_row(v)]
+        else:
+            moves = [target[u] for u in game.succ[v]]
+        rows.append((game.names[v], game.owners[v], game.priority[v], None, moves))
+    rows.append(("won", Owner.PROBABILISTIC, 0, None, [(len(keep), ONE)]))
+    rows.append(("lost", Owner.PROBABILISTIC, 1, None, [(len(keep) + 1, ONE)]))
+    return game_from_rows(rows), keep
+
+
+def _closed_form(game: ObligationGame) -> Optional[Values]:
+    """Exact values of a chain or of a game in which one player owns no
+    configuration, or None for a genuine two-player game."""
     if game.is_chain():
         return tuple(parity_measure(game.kernel, game.priority))
     if not _player_states(game, Owner.PLAYER1):
         return _mdp_max_parity(game, Owner.PLAYER0)
     if not _player_states(game, Owner.PLAYER0):
         return _best_response_values(game, {})
-    n = len(game)
-    full = frozenset(range(n))
+    return None
+
+
+def _two_sided(game: ObligationGame) -> Values:
+    """Exact values from a climb on `game` and on its dual, proven by
+    determinacy when their bounds sum to one everywhere; a gap is closed
+    by enumerating the smaller strategy space, within the cap."""
     dual = dual_game(game)
-    won, sigma = _as_strategy(game, full)
-    lost, pi = _as_strategy(dual, full)
-    if won | lost == full:
-        _certify_as(game, won, sigma)
-        _certify_as(dual, lost, pi)
-        return tuple(ONE if v in won else ZERO for v in range(n))
-    lower = _climb(game, sigma)
-    counter = _climb(dual, pi)
-    if all(lower[v] + counter[v] == ONE for v in range(n)):
+    lower = _climb(game)
+    counter = _climb(dual)
+    if all(a + b == ONE for a, b in zip(lower, counter)):
         return lower
     count0 = _strategy_count(game, Owner.PLAYER0)
     count1 = _strategy_count(game, Owner.PLAYER1)
@@ -560,10 +580,44 @@ def solve_values(game: ObligationGame) -> Values:
         vals = _enumerate_side(game)
     else:
         vals = tuple(ONE - x for x in _enumerate_side(dual))
-    if any(vals[v] < lower[v] for v in range(n)) or \
-       any(ONE - vals[v] < counter[v] for v in range(n)):
+    if any(x < a or ONE - x < b for x, a, b in zip(vals, lower, counter)):
         raise InternalInvariantError("enumeration fell below a certified bound")
     return vals
+
+
+def solve_values(game: ObligationGame) -> Values:
+    """Exact Player-0 values of an obligation-free stochastic parity game.
+
+    Answers are only returned once proven: either the chain / MDP
+    special cases (exact by construction), or a qualitative certificate
+    for 0 and 1, or two-sided bounds that sum to one (determinacy), or
+    an exhaustive positional enumeration of one player.  The two
+    players' almost-sure regions are computed first and both strategies
+    must pass ``_certify_as``; the values are 1 and 0 there.  The rest
+    is solved on the residual game (``_residual``), where the regions
+    are two absorbing sinks: by the special cases where they apply, else
+    by ``_two_sided``.  A gap that enumeration cannot close within the
+    cap raises BudgetExceededError; nothing unproven is ever returned.
+    """
+    _require_parity_game(game)
+    vals = _closed_form(game)
+    if vals is not None:
+        return vals
+    n = len(game)
+    full = frozenset(range(n))
+    dual = dual_game(game)
+    won, sigma = _as_strategy(game, full)
+    lost, pi = _as_strategy(dual, full)
+    _certify_as(game, won, sigma)
+    _certify_as(dual, lost, pi)
+    if won | lost == full:
+        return tuple(ONE if v in won else ZERO for v in range(n))
+    residual, keep = _residual(game, won, lost)
+    vals = _closed_form(residual)
+    if vals is None:
+        vals = _two_sided(residual)
+    inside = dict(zip(keep, vals))
+    return tuple(inside.get(v, ONE if v in won else ZERO) for v in range(n))
 
 
 def _class_game(game: ObligationGame, x: Sequence[Fraction | int],

@@ -176,24 +176,102 @@ def test_decide_threshold_on_fig6_gamma_game(fig6):
     assert decision.certificate_player == 0
 
 
+def fractional_game(seed):
+    """The first game of ``random_parity_game(Random(seed), max_configs=10)``
+    with both players and a value other than 0 and 1, with its oracle
+    values."""
+    rng = random.Random(seed)
+    while True:
+        game = random_parity_game(rng, max_configs=10)
+        if not all(parity_mod._player_states(game, o) for o in (Owner.PLAYER0, Owner.PLAYER1)):
+            continue
+        values = solve_parity_oracle(game, witnesses=False).values
+        if set(values) - {ZERO, ONE}:
+            return game, values
+
+
+def two_climb_game(seed):
+    """The first game of ``random_parity_game(Random(seed), max_configs=14)``
+    within the oracle's budget in which both players own a configuration of
+    value other than 0 and 1, so that the climbs solve its residual game,
+    with its oracle values."""
+    rng = random.Random(seed)
+    while True:
+        game = random_parity_game(rng, max_configs=14)
+        if game.is_chain() or parity_mod.oracle_pair_count(game) > 4096:
+            continue
+        values = parity_mod.solve_values(game)
+        if {Owner.PLAYER0, Owner.PLAYER1} <= {game.owners[v] for v, x in enumerate(values)
+                                              if x not in (ZERO, ONE)}:
+            return game, solve_parity_oracle(game, witnesses=False).values
+
+
 def test_enumeration_fallback_stays_exact(monkeypatch):
+    games = [two_climb_game(seed) for seed in range(9)]
     # force the climb to return a useless bound so the exhaustive
     # fallback must reconstruct the values on its own
     monkeypatch.setattr(parity_mod, "_climb",
-                        lambda game, start: tuple(ZERO for _ in game.names))
+                        lambda game: tuple(ZERO for _ in game.names))
     enumerate_side, enumerated = parity_mod._enumerate_side, []
     monkeypatch.setattr(parity_mod, "_enumerate_side",
                         lambda game: enumerated.append(game) or enumerate_side(game))
-    # Most small games have only values 0 and 1, which the almost-sure
-    # regions settle before any climb; these 200 reach the fallback 9 times.
-    rng = random.Random(21)
-    for _ in range(200):
-        game = random_parity_game(rng, max_configs=10)
-        if game.is_chain():
-            continue
-        assert solve_parity(game, witnesses=False).values == \
-            solve_parity_oracle(game, witnesses=False).values
+    for game, values in games:
+        assert solve_parity(game, witnesses=False).values == values
     assert len(enumerated) == 9
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40)
+def test_residual_solve_matches_the_oracle_on_fractional_games(seed):
+    game, values = fractional_game(seed)
+    assert parity_mod.solve_values(game) == values
+    dual = dual_game(game)
+    assert parity_mod.solve_values(dual) == solve_parity_oracle(dual, witnesses=False).values
+
+
+def test_climbs_run_on_the_residual_game(monkeypatch):
+    climb, climbed = parity_mod._climb, []
+    monkeypatch.setattr(parity_mod, "_climb",
+                        lambda game: climbed.append(game) or climb(game))
+    games = [fractional_game(seed) for seed in range(20)] + \
+        [two_climb_game(seed) for seed in range(5)]
+    climbs = 0
+    for primal, values in games:
+        for game, x in ((primal, values), (dual_game(primal), [ONE - r for r in values])):
+            climbed.clear()
+            parity_mod.solve_values(game)
+            # the configurations outside both almost-sure regions, then the
+            # two sinks; a residual game with one player is solved in closed form
+            residual = [v for v in range(len(game)) if x[v] not in (ZERO, ONE)]
+            two_player = {Owner.PLAYER0, Owner.PLAYER1} <= {game.owners[v] for v in residual}
+            assert len(climbed) == (2 if two_player else 0)
+            for residual_game in climbed:
+                assert len(residual_game) == len(residual) + 2
+                assert residual_game.names[:-2] == tuple(game.names[v] for v in residual)
+            climbs += len(climbed)
+    assert climbs == 28
+
+
+# Games of the two stall families whose climbs on the whole game left a
+# gap that enumeration had to close, or could not within its cap; on the
+# residual game, seeds 341, 394 and 504 need no enumeration at all.
+STALL_SEEDS = [(341, 160, 3, False), (394, 160, 3, False), (412, 160, 3, True),
+               (495, 160, 3, True), (504, 200, 5, False), (613, 200, 5, True),
+               (709, 200, 5, True)]
+
+
+@pytest.mark.parametrize("seed,max_configs,max_priority,enumerates", STALL_SEEDS)
+def test_residual_solve_closes_the_stall_seeds(monkeypatch, seed, max_configs,
+                                               max_priority, enumerates):
+    if not enumerates:
+        def refuse(game):
+            raise AssertionError("the residual solve enumerated strategies")
+        monkeypatch.setattr(parity_mod, "_enumerate_side", refuse)
+    game = random_parity_game(random.Random(seed), max_configs=max_configs,
+                              max_priority=max_priority)
+    primal = parity_mod.solve_values(game)
+    counter = parity_mod.solve_values(dual_game(game))
+    assert all(a + b == ONE for a, b in zip(primal, counter))
 
 
 # ---------------------------------------------------------------------------
