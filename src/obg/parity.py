@@ -523,30 +523,31 @@ def _enumerate_side(game: ObligationGame) -> Values:
 
 def _residual(game: ObligationGame, won: frozenset[int],
               lost: frozenset[int]) -> tuple[ObligationGame, list[int]]:
-    """The game left by the two almost-sure regions, and the configurations
-    it keeps, in index order.
+    """The game left by the two almost-sure regions, and the configuration
+    of it that stands for each configuration of `game`.
 
-    Those configurations come first, in that order, then one absorbing
-    won sink (priority 0) and one absorbing lost sink (priority 1); every
-    edge and kernel entry into `won` or `lost` goes to its sink.  When
-    both regions are certified, composing strategies shows that the
-    residual's values are the game's: a player wins a region almost
-    surely from anywhere in it, whatever happened before.
+    The configurations outside both regions come first, in index order,
+    then one absorbing won sink (priority 0) and one absorbing lost sink
+    (priority 1), which stand for the regions: every edge and kernel
+    entry into `won` or `lost` goes to its sink.  When both regions are
+    certified, composing strategies shows that the residual's values are
+    the game's: a player wins a region almost surely from anywhere in
+    it, whatever happened before.
     """
     keep = [v for v in range(len(game)) if v not in won and v not in lost]
-    target = {v: i for i, v in enumerate(keep)}
-    target.update(dict.fromkeys(won, len(keep)))
-    target.update(dict.fromkeys(lost, len(keep) + 1))
+    index = [len(keep) if v in won else len(keep) + 1 for v in range(len(game))]
+    for i, v in enumerate(keep):
+        index[v] = i
     rows = []
     for v in keep:
         if game.owners[v] is Owner.PROBABILISTIC:
-            moves = [(target[u], p) for u, p in game.kernel_row(v)]
+            moves = [(index[u], p) for u, p in game.kernel_row(v)]
         else:
-            moves = [target[u] for u in game.succ[v]]
+            moves = [index[u] for u in game.succ[v]]
         rows.append((game.names[v], game.owners[v], game.priority[v], None, moves))
     rows.append(("won", Owner.PROBABILISTIC, 0, None, [(len(keep), ONE)]))
     rows.append(("lost", Owner.PROBABILISTIC, 1, None, [(len(keep) + 1, ONE)]))
-    return game_from_rows(rows), keep
+    return game_from_rows(rows), index
 
 
 def _closed_form(game: ObligationGame) -> Optional[Values]:
@@ -595,8 +596,8 @@ def solve_values(game: ObligationGame) -> Values:
     players' almost-sure regions are computed first and both strategies
     must pass ``_certify_as``; the values are 1 and 0 there.  The rest
     is solved on the residual game (``_residual``), where the regions
-    are two absorbing sinks: by the special cases where they apply, else
-    by ``_two_sided``.  A gap that enumeration cannot close within the
+    are two absorbing sinks of values 1 and 0: by the special cases
+    where they apply, else by ``_two_sided``.  A gap that enumeration cannot close within the
     cap raises BudgetExceededError; nothing unproven is ever returned.
     """
     _require_parity_game(game)
@@ -612,12 +613,11 @@ def solve_values(game: ObligationGame) -> Values:
     _certify_as(dual, lost, pi)
     if won | lost == full:
         return tuple(ONE if v in won else ZERO for v in range(n))
-    residual, keep = _residual(game, won, lost)
+    residual, index = _residual(game, won, lost)
     vals = _closed_form(residual)
     if vals is None:
         vals = _two_sided(residual)
-    inside = dict(zip(keep, vals))
-    return tuple(inside.get(v, ONE if v in won else ZERO) for v in range(n))
+    return tuple(vals[i] for i in index)
 
 
 def _class_game(game: ObligationGame, x: Sequence[Fraction | int],
