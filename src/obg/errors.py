@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the solver stack.
 
 The CLI maps these onto process exit codes: input problems exit 2,
-exhausted enumeration budgets exit 3, and violated internal invariants
+exceeded work budgets exit 3, and violated internal invariants
 (e.g. the determinacy self-check) exit 4.
 """
 
@@ -15,7 +15,7 @@ class InputFormatError(ObgError):
 
 
 class BudgetExceededError(ObgError):
-    """An enumeration bound was hit before the computation finished."""
+    """A work budget was hit before the computation finished."""
 
 
 class OracleInfeasibleError(BudgetExceededError):

@@ -28,12 +28,12 @@ run:
   values are 0/1 without a best response.  Otherwise the rest is solved
   on a compact residual game (``_residual``), in which each region is
   one absorbing sink of its value: by the chain / MDP analysis when one
-  player owns none of it, else by a strategy-improvement climb on it
-  and on its dual; if the two bounds sum to one at every
-  configuration, they provably *are* the values.  Any remaining gap is
-  closed by enumerating the residual's positional strategies of
-  whichever player has fewer (exact by positional determinacy), within
-  a budget.
+  player owns none of it, else by strategy improvement on it and on
+  its dual; once the two bounds sum to one at every configuration,
+  they provably *are* the values.  Each side climbs by value switches,
+  and where the bounds leave a gap it also switches to win a value
+  class almost surely (``_class_step``), which makes the improvement
+  complete: a strategy that admits neither step is optimal.
 
 The qualitative analysis rests on one trap fixpoint, ``_sure_safe``, a
 worklist over predecessor lists and successor counters built per call,
@@ -70,7 +70,6 @@ deterministic reduction is kept.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -79,8 +78,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .chains import Rows, parity_measure, reach_probability
-from .errors import (BudgetExceededError, InputFormatError,
-                     InternalInvariantError, OracleInfeasibleError)
+from .errors import (InputFormatError, InternalInvariantError,
+                     OracleInfeasibleError)
 from .graphs import tarjan_scc
 from .model import (GE, GT, ONE, OPPONENT, ZERO, ObligationGame, Owner,
                     PureMemorylessStrategy, dual_game, game_from_rows,
@@ -457,12 +456,8 @@ def _best_response_values(game: ObligationGame, sigma: dict[int, int]) -> Values
 
 
 # ---------------------------------------------------------------------------
-# Two-player solve: settle the almost-sure regions, climb on both sides of
-# the residual game, certify by determinacy, close any remaining gap by
-# enumerating the smaller strategy space.
-
-_ENUM_CAP = 4096
-_CLIMB_EXTRA_ROUNDS = 10
+# Two-player solve: settle the almost-sure regions, then improve a strategy
+# on each side of the residual game until the two bounds meet.
 
 
 def _player_states(game: ObligationGame, player: Owner) -> list[int]:
@@ -480,45 +475,49 @@ def _strategies(game: ObligationGame, player: Owner) -> Iterator[dict[int, int]]
         yield dict(zip(states, combo))
 
 
-def _climb(game: ObligationGame) -> Values:
-    """Greatest best-response vector found by value-switch improvement.
+def _rise(x: Values, y: Values) -> Values:
+    """`y`, the values after an improvement step from `x`, checked to rise."""
+    if y == x or any(b < a for a, b in zip(x, y)):
+        raise InternalInvariantError("an improvement step did not raise the values")
+    return y
 
-    The climb starts from each Player-0 configuration's first successor.
-    It runs on the residual game (``_residual``), which holds no
-    almost-sure region but its two sinks, so no odd self-loop of value
-    zero inside a region can trap value-based switching there.  Every
-    vector returned by a best response is a certified lower bound of the
-    true values, hence so is their pointwise maximum; the climb is a
-    heuristic to make the bound tight, never a soundness argument.
+
+def _climb(game: ObligationGame, sigma: dict[int, int]) -> Values:
+    """Improve Player 0's strategy `sigma` in place by switches to successors
+    of strictly higher value, and return its best-response values.
+
+    Against any opponent the old values are then a submartingale of the
+    play, constant on each bottom component, where no switch can lie; so
+    the values rise, strictly at the switches (``_rise``).
     """
-    v0 = _player_states(game, Owner.PLAYER0)
-    sigma = {v: game.succ[v][0] for v in v0}
     x = _best_response_values(game, sigma)
-    best = list(x)
-    for _ in range(3 * max(1, len(v0)) + _CLIMB_EXTRA_ROUNDS):
-        switched = False
-        for v in v0:
-            best_u, val = sigma[v], x[sigma[v]]
-            for u in game.succ[v]:
-                if x[u] > val:
-                    val, best_u = x[u], u
-            if best_u != sigma[v]:
-                sigma[v] = best_u
-                switched = True
-        if not switched:
-            break
-        x = _best_response_values(game, sigma)
-        for v in range(len(game)):
-            if x[v] > best[v]:
-                best[v] = x[v]
-    return tuple(best)
+    while True:
+        best = {v: max(game.succ[v], key=x.__getitem__) for v in sigma}
+        switch = {v: u for v, u in best.items() if x[u] > x[sigma[v]]}
+        if not switch:
+            return x
+        sigma.update(switch)
+        x = _rise(x, _best_response_values(game, sigma))
 
 
-def _enumerate_side(game: ObligationGame) -> Values:
-    """Pointwise max of all Player-0 best-response vectors (exact values)."""
-    return functools.reduce(lambda best, x: tuple(map(max, best, x)),
-                            (_best_response_values(game, sigma)
-                             for sigma in _strategies(game, Owner.PLAYER0)))
+def _class_step(game: ObligationGame, x: Values, sigma: dict[int, int]) -> bool:
+    """Switch `sigma`, whose best-response values are `x`, to the moves of
+    Player 0's almost-sure region in each class C = {v : x[v] = r} with
+    r < 1, lowest first, with the chance configurations leaving C settled
+    as lost (as won, they pose a condition `sigma` already meets); return
+    whether it switched.  From there the opponent must leave C upward or
+    lose, so the values rise strictly; when no class switches, `sigma` is
+    optimal (Chatterjee & Henzinger, "Strategy improvement and randomized
+    subexponential algorithms for stochastic parity games", STACS 2006).
+    """
+    switched = False
+    for r in sorted(set(x) - {ONE}):
+        cls = frozenset(v for v in range(len(game)) if x[v] == r)
+        class_game = _class_game(game, x, r, boundary_won=False)
+        _, choices = _as_strategy(class_game, cls.union(*(class_game.succ[v] for v in cls)))
+        switched |= any(sigma[v] != u for v, u in choices.items())
+        sigma.update(choices)
+    return switched
 
 
 def _residual(game: ObligationGame, won: frozenset[int],
@@ -563,27 +562,20 @@ def _closed_form(game: ObligationGame) -> Optional[Values]:
 
 
 def _two_sided(game: ObligationGame) -> Values:
-    """Exact values from a climb on `game` and on its dual, proven by
-    determinacy when their bounds sum to one everywhere; a gap is closed
-    by enumerating the smaller strategy space, within the cap."""
-    dual = dual_game(game)
-    lower = _climb(game)
-    counter = _climb(dual)
-    if all(a + b == ONE for a, b in zip(lower, counter)):
-        return lower
-    count0 = _strategy_count(game, Owner.PLAYER0)
-    count1 = _strategy_count(game, Owner.PLAYER1)
-    if min(count0, count1) > _ENUM_CAP:
-        raise BudgetExceededError(
-            f"two-player solve needs enumeration of "
-            f"{min(count0, count1)} strategies (cap {_ENUM_CAP})")
-    if count0 <= count1:
-        vals = _enumerate_side(game)
-    else:
-        vals = tuple(ONE - x for x in _enumerate_side(dual))
-    if any(x < a or ONE - x < b for x, a, b in zip(vals, lower, counter)):
-        raise InternalInvariantError("enumeration fell below a certified bound")
-    return vals
+    """Exact values from strategy improvement on `game` and on its dual,
+    proven by determinacy once their bounds sum to one everywhere.  Only
+    while a gap is left do the sides take class steps and climb again; a
+    gap that neither side can step past raises InternalInvariantError."""
+    sides = (game, dual_game(game))
+    sigmas = [{v: g.succ[v][0] for v in _player_states(g, Owner.PLAYER0)} for g in sides]
+    bounds = [_climb(g, sigma) for g, sigma in zip(sides, sigmas)]
+    while any(a + b != ONE for a, b in zip(*bounds)):
+        stepped = [_class_step(g, x, sigma) for g, x, sigma in zip(sides, bounds, sigmas)]
+        if not any(stepped):
+            raise InternalInvariantError("strategy improvement left a gap")
+        bounds = [_rise(x, _climb(g, sigma)) if step else x
+                  for g, x, sigma, step in zip(sides, bounds, sigmas, stepped)]
+    return bounds[0]
 
 
 def solve_values(game: ObligationGame) -> Values:
@@ -591,14 +583,13 @@ def solve_values(game: ObligationGame) -> Values:
 
     Answers are only returned once proven: either the chain / MDP
     special cases (exact by construction), or a qualitative certificate
-    for 0 and 1, or two-sided bounds that sum to one (determinacy), or
-    an exhaustive positional enumeration of one player.  The two
-    players' almost-sure regions are computed first and both strategies
-    must pass ``_certify_as``; the values are 1 and 0 there.  The rest
-    is solved on the residual game (``_residual``), where the regions
-    are two absorbing sinks of values 1 and 0: by the special cases
-    where they apply, else by ``_two_sided``.  A gap that enumeration cannot close within the
-    cap raises BudgetExceededError; nothing unproven is ever returned.
+    for 0 and 1, or two-sided bounds that sum to one (determinacy).  The
+    two players' almost-sure regions are computed first and both
+    strategies must pass ``_certify_as``; the values are 1 and 0 there.
+    The rest is solved on the residual game (``_residual``), where the
+    regions are two absorbing sinks of values 1 and 0: by the special
+    cases where they apply, else by ``_two_sided``.  A failed check
+    raises InternalInvariantError; nothing unproven is ever returned.
     """
     _require_parity_game(game)
     vals = _closed_form(game)
@@ -621,18 +612,18 @@ def solve_values(game: ObligationGame) -> Values:
 
 
 def _class_game(game: ObligationGame, x: Sequence[Fraction | int],
-                r: Fraction | int) -> ObligationGame:
+                r: Fraction | int, boundary_won: bool = True) -> ObligationGame:
     """The game of the value class C = {v : x[v] = r}, for values `x` or
     any labels ordered like them (such as ``_player_view``'s classes).
 
     Every configuration outside C is settled, as won when its value is
     above r and as lost when below, and so is every chance configuration
-    in C with a successor outside C, as won: the play leaves C from there
-    with positive probability, upward and downward, and keeps r on
-    average (Chatterjee, Jurdziński & Henzinger, SODA 2004).
+    in C with a successor outside C, as `boundary_won`: the play leaves C
+    from there with positive probability, upward and downward, and keeps
+    r on average (Chatterjee, Jurdziński & Henzinger, SODA 2004).
     """
     settled = {v: x[v] > r for v in range(len(game)) if x[v] != r}
-    settled.update((v, True) for v in range(len(game))
+    settled.update((v, boundary_won) for v in range(len(game))
                    if x[v] == r and game.owners[v] is Owner.PROBABILISTIC
                    and any(x[u] != r for u in game.succ[v]))
     return settle(game, settled)

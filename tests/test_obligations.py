@@ -550,7 +550,8 @@ def test_pre_value_thresholding_reproduces_the_verdicts(seed):
 # ---------------------------------------------------------------------------
 # Games on which the two-player solve used to stall: the value-switch climb
 # started from an incomplete almost-sure region and left a gap that only
-# enumerating strategies could close.  Now no enumeration may run.
+# enumerating strategies could close.  Now the climbs close them without a
+# class step.
 
 
 def nth_large_random_game(seed, k):
@@ -574,13 +575,13 @@ def reordered(game, order):
 
 
 @pytest.fixture
-def no_enumeration(monkeypatch):
-    def refuse(game):
-        raise AssertionError("the two-player solve enumerated strategies")
-    monkeypatch.setattr(parity_mod, "_enumerate_side", refuse)
+def no_class_step(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the two-player solve took a class step")
+    monkeypatch.setattr(parity_mod, "_class_step", refuse)
 
 
-def test_stalling_game_solves_in_every_configuration_order(no_enumeration):
+def test_stalling_game_solves_in_every_configuration_order(no_class_step):
     game = nth_large_random_game(8, 14)
     _, primal = find_best_dependency(game, witnesses=False)
     _, counter = find_best_dependency(dual_game(game), witnesses=False)
@@ -595,6 +596,6 @@ def test_stalling_game_solves_in_every_configuration_order(no_enumeration):
         assert dict(zip(shuffled.names, report.values)) == by_name
 
 
-def test_slow_enumeration_game_decides_without_enumerating(no_enumeration):
+def test_slow_enumeration_game_decides_without_enumerating(no_class_step):
     game = nth_large_random_game(11, 64)
     assert decide_value(game, 0, ">=", ZERO).verdict

@@ -16,7 +16,7 @@ from obg import (InputFormatError, InternalInvariantError, OracleInfeasibleError
 from obg.budgets import Budgets
 from obg.generators import random_parity_game
 from obg.graphs import tarjan_scc
-from obg.model import ONE, ZERO, ObligationGame, Owner, restrict_choice
+from obg.model import ONE, ZERO, ObligationGame, Owner, game_from_rows, restrict_choice
 from obg.obligations import build_gamma_game
 import obg.parity as parity_mod
 
@@ -206,18 +206,22 @@ def two_climb_game(seed):
             return game, solve_parity_oracle(game, witnesses=False).values
 
 
-def test_enumeration_fallback_stays_exact(monkeypatch):
-    games = [two_climb_game(seed) for seed in range(9)]
-    # force the climb to return a useless bound so the exhaustive
-    # fallback must reconstruct the values on its own
-    monkeypatch.setattr(parity_mod, "_climb",
-                        lambda game: tuple(ZERO for _ in game.names))
-    enumerate_side, enumerated = parity_mod._enumerate_side, []
-    monkeypatch.setattr(parity_mod, "_enumerate_side",
-                        lambda game: enumerated.append(game) or enumerate_side(game))
-    for game, values in games:
-        assert solve_parity(game, witnesses=False).values == values
-    assert len(enumerated) == 9
+def test_class_steps_alone_reach_the_oracle_values():
+    # from every Player-0 strategy, class steps without value switches
+    # must climb to the values: only an optimal strategy admits none
+    steps = 0
+    for game, values in (two_climb_game(seed) for seed in range(9)):
+        dual = dual_game(game)
+        for side, expected in ((game, values),
+                               (dual, solve_parity_oracle(dual, witnesses=False).values)):
+            assert solve_parity(side, witnesses=False).values == expected
+            for sigma in parity_mod._strategies(side, Owner.PLAYER0):
+                x = parity_mod._best_response_values(side, sigma)
+                while parity_mod._class_step(side, x, sigma):
+                    x = parity_mod._rise(x, parity_mod._best_response_values(side, sigma))
+                    steps += 1
+                assert x == expected
+    assert steps == 51
 
 
 @given(st.integers(0, 10**6))
@@ -232,7 +236,7 @@ def test_residual_solve_matches_the_oracle_on_fractional_games(seed):
 def test_climbs_run_on_the_residual_game(monkeypatch):
     climb, climbed = parity_mod._climb, []
     monkeypatch.setattr(parity_mod, "_climb",
-                        lambda game: climbed.append(game) or climb(game))
+                        lambda game, sigma: climbed.append(game) or climb(game, sigma))
     games = [fractional_game(seed) for seed in range(20)] + \
         [two_climb_game(seed) for seed in range(5)]
     climbs = 0
@@ -253,25 +257,60 @@ def test_climbs_run_on_the_residual_game(monkeypatch):
 
 
 # Games of the two stall families whose climbs on the whole game left a
-# gap that enumeration had to close, or could not within its cap; on the
-# residual game, seeds 341, 394 and 504 need no enumeration at all.
-STALL_SEEDS = [(341, 160, 3, False), (394, 160, 3, False), (412, 160, 3, True),
-               (495, 160, 3, True), (504, 200, 5, False), (613, 200, 5, True),
+# gap; on the residual game, seeds 341, 394 and 504 need no class step,
+# and each of the others needs one on each side.
+STALL_SEEDS = [(341, 160, 3, False), (349, 160, 3, True), (394, 160, 3, False),
+               (412, 160, 3, True), (495, 160, 3, True), (504, 200, 5, False),
+               (536, 200, 5, True), (613, 200, 5, True), (632, 200, 5, True),
                (709, 200, 5, True)]
 
 
-@pytest.mark.parametrize("seed,max_configs,max_priority,enumerates", STALL_SEEDS)
-def test_residual_solve_closes_the_stall_seeds(monkeypatch, seed, max_configs,
-                                               max_priority, enumerates):
-    if not enumerates:
-        def refuse(game):
-            raise AssertionError("the residual solve enumerated strategies")
-        monkeypatch.setattr(parity_mod, "_enumerate_side", refuse)
-    game = random_parity_game(random.Random(seed), max_configs=max_configs,
+def stall_game(seed, max_configs, max_priority):
+    return random_parity_game(random.Random(seed), max_configs=max_configs,
                               max_priority=max_priority)
-    primal = parity_mod.solve_values(game)
-    counter = parity_mod.solve_values(dual_game(game))
-    assert all(a + b == ONE for a, b in zip(primal, counter))
+
+
+@pytest.mark.parametrize("seed,max_configs,max_priority,steps", STALL_SEEDS)
+def test_residual_solve_closes_the_stall_seeds(monkeypatch, seed, max_configs,
+                                               max_priority, steps):
+    class_step, switched = parity_mod._class_step, []
+
+    def counting(*args):
+        if not steps:
+            raise AssertionError("the residual solve took a class step")
+        switched.append(class_step(*args))
+        return switched[-1]
+
+    monkeypatch.setattr(parity_mod, "_class_step", counting)
+    game = stall_game(seed, max_configs, max_priority)
+    values = []
+    for side in (game, dual_game(game)):
+        switched.clear()
+        values.append(parity_mod.solve_values(side))
+        assert any(switched) == steps
+    assert all(a + b == ONE for a, b in zip(*values))
+
+
+def test_a_gap_without_a_class_step_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(parity_mod, "_class_step", lambda *args: False)
+    with pytest.raises(InternalInvariantError, match="left a gap"):
+        parity_mod.solve_values(stall_game(349, 160, 3))
+
+
+def test_a_best_response_that_does_not_rise_is_an_invariant_error(monkeypatch):
+    # a switches from the odd loop b to the even loop c, so its value must
+    # rise from 0 to 1; planted best responses keep it or lower c's
+    game = game_from_rows([
+        ("a", Owner.PLAYER0, 2, None, [1, 2]),
+        ("b", Owner.PLAYER1, 1, None, [1]),
+        ("c", Owner.PLAYER1, 0, None, [2])])
+    assert parity_mod._climb(game, {0: 1}) == (ONE, ZERO, ONE)
+    for planted in ((ZERO, ZERO, ONE), (ONE, ZERO, ZERO)):
+        responses = iter([(ZERO, ZERO, ONE), planted])
+        monkeypatch.setattr(parity_mod, "_best_response_values",
+                            lambda game, sigma: next(responses))
+        with pytest.raises(InternalInvariantError, match="did not raise"):
+            parity_mod._climb(game, {0: 1})
 
 
 # ---------------------------------------------------------------------------
