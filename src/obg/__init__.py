@@ -15,9 +15,9 @@ from .model import (LabeledMarkovChain, Obligation, ObligationGame, Owner,
                     format_rational, make_chain, make_game, parse_rational,
                     validate, validate_chain)
 from .obligations import (Dependency, GoodnessReport, ObligationValueReport,
-                          ValueDecision, build_gamma_game, check_condition1,
-                          check_condition2, check_condition3, decide_value,
-                          find_best_dependency, gamma_value,
+                          SolveContext, ValueDecision, build_gamma_game,
+                          check_condition1, check_condition2, check_condition3,
+                          decide_value, find_best_dependency, gamma_value,
                           solve_chain_obligations, value_of_prefix,
                           values_given_dependency, verify_dependency)
 from .parity import (ThresholdDecision, ValueVector, decide_parity_threshold,

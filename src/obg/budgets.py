@@ -22,7 +22,10 @@ class Budgets:
     beyond them are still accepted by the certificate checker, which is
     polynomial.  max_strategy_pairs gates the brute-force parity oracle.
     max_dependency_nodes caps the monitor-game tests of the dependency
-    search's progress-measure lifting, cached ones included.
+    search's progress-measure lifting, memo hits included.  Each test adds
+    at most one value to the search's per-operation memo, so it bounds
+    that memo too, beside one monitor product per obligation configuration
+    and one value per obligation configuration read off the certificate.
     """
 
     max_obligations: int = 10

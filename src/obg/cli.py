@@ -12,6 +12,7 @@ inputs and configuration.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 from dataclasses import dataclass, field
@@ -47,6 +48,7 @@ class RunConfiguration:
     output_format: str = "table"
     seed: int = 0
     witnesses: bool = True
+    stats: bool = False
 
     @staticmethod
     def from_args(args) -> "RunConfiguration":
@@ -58,7 +60,8 @@ class RunConfiguration:
                 max_dependency_nodes=getattr(args, "max_dependency_nodes", None)),
             output_format=getattr(args, "format", "table"),
             seed=getattr(args, "seed", 0),
-            witnesses=not getattr(args, "no_witnesses", False))
+            witnesses=not getattr(args, "no_witnesses", False),
+            stats=getattr(args, "stats", False))
 
 
 def _read(path: str) -> str:
@@ -132,6 +135,12 @@ def _print_report(report: ObligationValueReport, fmt: str) -> None:
         print(f"witness {label}: {rendered}")
 
 
+def _print_stats(run: RunConfiguration, document: dict) -> None:
+    """With ``--stats``, the solve counters as one canonical JSON line on stderr."""
+    if run.stats:
+        print(json.dumps(document, sort_keys=True, separators=(",", ":")), file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -141,6 +150,7 @@ def cmd_solve_game(args, run: RunConfiguration) -> int:
     _, report = find_best_dependency(game, budgets=run.budgets,
                                      witnesses=run.witnesses)
     _print_report(report, run.output_format)
+    _print_stats(run, dict(report.stats))
     return EXIT_OK
 
 
@@ -151,6 +161,7 @@ def cmd_solve_chain(args, run: RunConfiguration) -> int:
                                         budgets=run.budgets,
                                         witnesses=run.witnesses)
     _print_report(report, run.output_format)
+    _print_stats(run, dict(report.stats))
     return EXIT_OK
 
 
@@ -196,6 +207,8 @@ def cmd_decide(args, run: RunConfiguration) -> int:
             decision.dual[0], dual_game(game))["dependencies"],
     }
     print(io_formats.dumps(out), end="")
+    _print_stats(run, {"primal": dict(decision.primal[1].stats),
+                       "dual": dict(decision.dual[1].stats)})
     return EXIT_OK if decision.verdict else EXIT_NO
 
 
@@ -218,6 +231,7 @@ def cmd_paut(args, run: RunConfiguration) -> int:
         "root_value": format_rational(result.report.values[result.root]),
     }
     print(io_formats.dumps(out), end="")
+    _print_stats(run, dict(result.report.stats))
     return EXIT_OK if result.accepted else EXIT_NO
 
 
@@ -335,6 +349,12 @@ def _add_budget_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, type=int, default=None, help=_BUDGET_FLAGS[flag])
 
 
+def _add_search_flags(parser: argparse.ArgumentParser) -> None:
+    _add_budget_flags(parser, *_SEARCH_BUDGETS)
+    parser.add_argument("--stats", action="store_true",
+                        help="print the dependency search's counters as JSON on stderr")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="obg",
@@ -346,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--no-witnesses", action="store_true")
-    _add_budget_flags(p, *_SEARCH_BUDGETS)
+    _add_search_flags(p)
     p.set_defaults(func=cmd_solve_game)
 
     p = sub.add_parser("solve-chain", help="solve a chain file with priorities/obligations")
     p.add_argument("chain")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("--no-witnesses", action="store_true")
-    _add_budget_flags(p, *_SEARCH_BUDGETS)
+    _add_search_flags(p)
     p.set_defaults(func=cmd_solve_chain)
 
     p = sub.add_parser("verify", help="check a dependency certificate")
@@ -366,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--cmp", choices=(">=", ">"), required=True)
     p.add_argument("--threshold", required=True)
-    _add_budget_flags(p, *_SEARCH_BUDGETS)
+    _add_search_flags(p)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("paut", help="p-automaton commands")
@@ -374,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = psub.add_parser("accepts", help="does the automaton accept the chain?")
     pa.add_argument("automaton")
     pa.add_argument("chain")
-    _add_budget_flags(pa, *_SEARCH_BUDGETS)
+    _add_search_flags(pa)
     pa.set_defaults(func=cmd_paut)
     pu = psub.add_parser("uniform", help="is the automaton uniform?")
     pu.add_argument("automaton")

@@ -151,17 +151,6 @@ class ObligationGame:
     priority: tuple[int, ...]
     obligation: tuple[Optional[Obligation], ...]
 
-    def __hash__(self) -> int:
-        # Memo caches key on whole games: the field hash is taken once per
-        # object.  It is no field, so ``replace`` copies start without it.
-        if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", hash((self.names, self.owners, self.succ,
-                                                     self.kernel, self.priority, self.obligation)))
-        return self.__dict__["_hash"]
-
-    def __getstate__(self) -> dict:  # string hashes differ between processes
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
     def __len__(self) -> int:
         return len(self.names)
 

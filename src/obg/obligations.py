@@ -31,11 +31,10 @@ pairs.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .chains import MonitorProduct, min_priority_monitor_product
@@ -127,7 +126,9 @@ class ObligationValueReport:
     configuration may lean on finitely many returns to itself, which a
     flat per-configuration certificate cannot express), without ever
     affecting a verdict.  ``reduced_solution`` carries the values and
-    witness strategies of the reduced (settled) game.
+    witness strategies of the reduced (settled) game.  ``stats`` holds the
+    ``SolveContext`` counters of the operation as (name, count) pairs;
+    they describe the work, not the result, and take no part in equality.
     """
 
     game: ObligationGame
@@ -137,6 +138,7 @@ class ObligationValueReport:
     fulfilled: frozenset[int]
     reduced_game: ObligationGame
     reduced_solution: ValueVector
+    stats: tuple[tuple[str, int], ...] = field(compare=False)
 
     def value_of(self, name: str) -> Fraction:
         return self.values[self.game.index(name)]
@@ -146,18 +148,60 @@ class ObligationValueReport:
 # Monitor (gamma) games
 
 
-@functools.lru_cache(maxsize=4096)
-def _monitor(game: ObligationGame, start: int) -> MonitorProduct:
-    return min_priority_monitor_product(game, start)
+@dataclass(eq=False)
+class SolveContext:
+    """Memo tables and work counters of one operation on one game.
+
+    Every public entry point below makes a fresh context unless it is
+    handed one, and drops it when it returns, so no memo outlives the
+    operation that filled it.  ``monitors`` holds the monitor products
+    by start configuration, ``gammas`` the monitor-game values by
+    (start, pair set).  The counters are deterministic: monitor products
+    built, lifting tests (counted against ``max_dependency_nodes``),
+    lifts, monitor-game solves (memo misses) and memo hits.
+    """
+
+    COUNTERS: ClassVar[tuple[str, ...]] = (
+        "monitor_products", "lifting_tests", "lifts", "monitor_solves", "memo_hits")
+
+    game: ObligationGame
+    monitors: dict[int, MonitorProduct] = field(default_factory=dict)
+    gammas: dict[tuple[int, frozenset[Pair]], Fraction] = field(default_factory=dict)
+    monitor_products: int = 0
+    lifting_tests: int = 0
+    lifts: int = 0
+    monitor_solves: int = 0
+    memo_hits: int = 0
+
+    @staticmethod
+    def of(game: ObligationGame, context: Optional["SolveContext"]) -> "SolveContext":
+        """``context`` if it serves ``game``, a fresh context if it is None."""
+        if context is None:
+            return SolveContext(game)
+        if context.game is not game:
+            raise InputFormatError("the solve context belongs to another game")
+        return context
+
+    def monitor(self, start: int) -> MonitorProduct:
+        monitor = self.monitors.get(start)
+        if monitor is None:
+            monitor = self.monitors[start] = min_priority_monitor_product(self.game, start)
+            self.monitor_products += 1
+        return monitor
+
+    def counters(self) -> tuple[tuple[str, int], ...]:
+        return tuple((name, getattr(self, name)) for name in self.COUNTERS)
 
 
-def reachable_pairs(game: ObligationGame, start: int) -> frozenset[Pair]:
+def reachable_pairs(game: ObligationGame, start: int, *,
+                    context: Optional[SolveContext] = None) -> frozenset[Pair]:
     """Frozen (obligation, minimal priority) pairs reachable from ``start``."""
-    return frozenset((c, m) for _, c, m in _monitor(game, start).frozen)
+    monitor = SolveContext.of(game, context).monitor(start)
+    return frozenset((c, m) for _, c, m in monitor.frozen)
 
 
-def build_gamma_game(game: ObligationGame, start: int,
-                     pairs: Iterable[Pair]) -> tuple[ObligationGame, int]:
+def build_gamma_game(game: ObligationGame, start: int, pairs: Iterable[Pair], *,
+                     context: Optional[SolveContext] = None) -> tuple[ObligationGame, int]:
     """The obligation-free monitor game checking ``start`` against ``pairs``.
 
     The monitor product of ``start``, settled: a frozen node (u, m) is won
@@ -166,24 +210,28 @@ def build_gamma_game(game: ObligationGame, start: int,
     name and index.  Size is at most |V|*(k+1) + 1.
     """
     chosen = frozenset(pairs)
-    monitor = _monitor(game, start)
+    monitor = SolveContext.of(game, context).monitor(start)
     return settle(monitor.product, {node: (config, m) in chosen
                                     for node, config, m in monitor.frozen}), monitor.start
 
 
-def gamma_value(game: ObligationGame, start: int, pairs: Iterable[Pair]) -> Fraction:
+def gamma_value(game: ObligationGame, start: int, pairs: Iterable[Pair], *,
+                context: Optional[SolveContext] = None) -> Fraction:
     """Exact value of the monitor game at its start configuration.
 
-    Memoized per (game, start, pair set) by ``_gamma_value``, as the
-    monitor products are by ``_monitor``; both are ``functools.lru_cache``.
+    Memoized per (start, pair set) in the operation's ``SolveContext``,
+    as the monitor products are per start.
     """
-    return _gamma_value(game, start, frozenset(pairs))
-
-
-@functools.lru_cache(maxsize=65536)
-def _gamma_value(game: ObligationGame, start: int, pairs: frozenset[Pair]) -> Fraction:
-    gamma, root = build_gamma_game(game, start, pairs)
-    return solve_values(gamma)[root]
+    ctx = SolveContext.of(game, context)
+    key = (start, frozenset(pairs))
+    value = ctx.gammas.get(key)
+    if value is not None:
+        ctx.memo_hits += 1
+        return value
+    gamma, root = build_gamma_game(game, start, key[1], context=ctx)
+    value = ctx.gammas[key] = solve_values(gamma)[root]
+    ctx.monitor_solves += 1
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +312,8 @@ def check_condition2(game: ObligationGame, dep: Dependency
     return (cycle is None), cycle
 
 
-def check_condition3(game: ObligationGame, dep: Dependency
+def check_condition3(game: ObligationGame, dep: Dependency, *,
+                     context: Optional[SolveContext] = None
                      ) -> tuple[bool, Optional[tuple[int, Fraction]], tuple[tuple[int, Fraction], ...]]:
     """Every defined obligation meets its own threshold in its monitor game."""
     gammas = []
@@ -272,14 +321,15 @@ def check_condition3(game: ObligationGame, dep: Dependency
     for v, row in dep.entries:
         if row is None:
             continue
-        value = gamma_value(game, v, row)
+        value = gamma_value(game, v, row, context=context)
         gammas.append((v, value))
         if failing is None and not _obligation_at(game, v).holds(value):
             failing = (v, value)
     return failing is None, failing, tuple(gammas)
 
 
-def verify_dependency(game: ObligationGame, dep: Dependency) -> GoodnessReport:
+def verify_dependency(game: ObligationGame, dep: Dependency, *,
+                      context: Optional[SolveContext] = None) -> GoodnessReport:
     """Check the certificate; polynomial apart from the parity solves."""
     ok1, dangling = check_condition1(game, dep)
     if not ok1:
@@ -287,7 +337,7 @@ def verify_dependency(game: ObligationGame, dep: Dependency) -> GoodnessReport:
     ok2, cycle = check_condition2(game, dep)
     if not ok2:
         return GoodnessReport(False, True, None, False, cycle, None, None, ())
-    ok3, failing, gammas = check_condition3(game, dep)
+    ok3, failing, gammas = check_condition3(game, dep, context=context)
     return GoodnessReport(ok3, True, None, True, None, ok3, failing, gammas)
 
 
@@ -296,14 +346,16 @@ def verify_dependency(game: ObligationGame, dep: Dependency) -> GoodnessReport:
 
 
 def values_given_dependency(game: ObligationGame, dep: Dependency, *,
-                            witnesses: bool = True) -> ObligationValueReport:
+                            witnesses: bool = True,
+                            context: Optional[SolveContext] = None) -> ObligationValueReport:
     """Exact values of the game under a good dependency certificate.
 
     Pre-values at obligation configurations are the certificate's own
     monitor values (met) or the best measure of reaching any met
     obligation (unmet).
     """
-    report = verify_dependency(game, dep)
+    ctx = SolveContext.of(game, context)
+    report = verify_dependency(game, dep, context=ctx)
     if not report.good:
         raise InputFormatError("dependency is not good; verify it for a counterexample")
     fulfilled = dep.defined()
@@ -317,15 +369,17 @@ def values_given_dependency(game: ObligationGame, dep: Dependency, *,
         if v in fulfilled:
             pre[v] = gammas[v]
         else:
-            pre[v] = gamma_value(game, v, _pair_universe(game, v, fulfilled))
+            pre[v] = gamma_value(game, v, _pair_universe(game, v, fulfilled, ctx), context=ctx)
     return ObligationValueReport(
         game=game, dependency=dep, values=tuple(values), pre_values=tuple(pre),
-        fulfilled=fulfilled, reduced_game=reduced, reduced_solution=solution)
+        fulfilled=fulfilled, reduced_game=reduced, reduced_solution=solution,
+        stats=ctx.counters())
 
 
-def _pair_universe(game: ObligationGame, v: int, met: frozenset[int]) -> frozenset[Pair]:
+def _pair_universe(game: ObligationGame, v: int, met: frozenset[int],
+                   context: Optional[SolveContext] = None) -> frozenset[Pair]:
     """Reachable pairs of v that target met obligations, minus odd self-loops."""
-    return frozenset((u, m) for (u, m) in reachable_pairs(game, v)
+    return frozenset((u, m) for (u, m) in reachable_pairs(game, v, context=context)
                      if u in met and not (u == v and m % 2 == 1))
 
 
@@ -356,7 +410,9 @@ def find_best_dependency(game: ObligationGame, *,
     maxima over all good certificates.
 
     ``budgets.max_dependency_nodes`` bounds the monitor-game tests of the
-    lifting, cached ones included.
+    lifting, memo hits included.  One ``SolveContext`` serves the search
+    and the values read off its certificate; the report carries its
+    counters.
     """
     obligations = game.obligation_indices()
     if len(obligations) > budgets.max_obligations:
@@ -368,8 +424,9 @@ def find_best_dependency(game: ObligationGame, *,
             f"maximal priority {game.max_priority()} exceeds the budget "
             f"of {budgets.max_priority}")
 
+    ctx = SolveContext(game)
     radix, width = len(obligations) + 1, (game.max_priority() + 1) // 2
-    universe = {v: sorted(_pair_universe(game, v, frozenset(obligations)))
+    universe = {v: sorted(_pair_universe(game, v, frozenset(obligations), ctx))
                 for v in obligations}
     dependents: dict[int, set[int]] = {v: set() for v in obligations}
     for v in obligations:
@@ -377,7 +434,6 @@ def find_best_dependency(game: ObligationGame, *,
             if u != v:
                 dependents[u].add(v)
     measure: dict[int, Optional[int]] = dict.fromkeys(obligations, 0)
-    tests = 0
 
     def consistent(v: int, base: int) -> dict[Pair, int]:
         """Each pair of v with the least measure >= base consistent with it."""
@@ -392,16 +448,16 @@ def find_best_dependency(game: ObligationGame, *,
         return out
 
     def lift(v: int, base: int) -> Optional[int]:
-        nonlocal tests
+        ctx.lifts += 1
         pairs = consistent(v, base)
         for r in sorted({base, *pairs.values()}):
-            tests += 1
-            if tests > budgets.max_dependency_nodes:
+            ctx.lifting_tests += 1
+            if ctx.lifting_tests > budgets.max_dependency_nodes:
                 raise BudgetExceededError(
                     f"dependency search made more than "
                     f"{budgets.max_dependency_nodes} monitor-game tests")
             chosen = [p for p, least in pairs.items() if least <= r]
-            if _obligation_at(game, v).holds(gamma_value(game, v, chosen)):
+            if _obligation_at(game, v).holds(gamma_value(game, v, chosen, context=ctx)):
                 return r
         return None
 
@@ -419,7 +475,7 @@ def find_best_dependency(game: ObligationGame, *,
     rows = {v: sorted(p for p, least in consistent(v, base).items() if least == base)
             for v, base in measure.items() if base is not None}
     dep = Dependency.from_mapping(game, rows)
-    return dep, values_given_dependency(game, dep, witnesses=witnesses)
+    return dep, values_given_dependency(game, dep, witnesses=witnesses, context=ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import functools
+import io
 import json
 import os
 import random
@@ -170,6 +172,38 @@ def test_readme_commands_are_reproducible_across_hash_seeds():
         assert done.returncode == 0, done.stderr.decode()
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_stats_flag_changes_only_stderr(monkeypatch):
+    monkeypatch.chdir(REPO)  # README paths are relative to the repository
+    stats_commands = {"solve-game", "solve-chain", "decide", "accepts"}
+    commands = [argv for argv in readme_commands() if stats_commands & set(argv[:2])]
+    assert len(commands) == 4
+    false_verdict = ["decide", fixture_path("fig2_losing_path.chain.json"),
+                     "--config", "s1", "--cmp", ">", "--threshold", "1/2"]
+    tripped = ["solve-game", fixture_path("fig5.game.json"), "--max-dependency-nodes", "1"]
+    counters = ["lifting_tests", "lifts", "memo_hits", "monitor_products", "monitor_solves"]
+    for argv, exit_code in [(argv, 0) for argv in commands] + [(false_verdict, 1), (tripped, 3)]:
+        code, out, err = run_main(argv)
+        stats_code, stats_out, stats_err = run_main(argv + ["--stats"])
+        assert (stats_code, stats_out) == (code, out) and code == exit_code, argv
+        if code == 3:  # no solve finished, so there are no counters
+            assert stats_err == err and err.startswith("budget exceeded:")
+            continue
+        assert err == ""
+        document = json.loads(stats_err)
+        assert stats_err == json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+        sides = [document["primal"], document["dual"]] if argv[0] == "decide" else [document]
+        assert all(sorted(side) == counters and all(type(n) is int for n in side.values())
+                   for side in sides), argv
+        assert run_main(argv + ["--stats"])[2] == stats_err
 
 
 def test_cli_verify_good_and_bad(capsys):

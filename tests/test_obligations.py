@@ -1,6 +1,10 @@
+import gc
 import itertools
 import random
+import re
+from dataclasses import fields
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +17,15 @@ from obg import (BudgetExceededError, Dependency, InputFormatError,
                  embed_chain_as_game, find_best_dependency, gamma_value,
                  make_chain, solve_chain_obligations, solve_parity,
                  value_of_prefix, values_given_dependency, verify_dependency)
+import obg
 from obg.budgets import DEFAULT_BUDGETS, Budgets
-from obg.chains import min_priority_monitor_product
+from obg.chains import MonitorProduct, min_priority_monitor_product
 from obg.generators import (random_automaton, random_game,
                             random_labeled_chain)
 from obg.graphs import tarjan_scc
 from obg.model import ONE, ZERO, ObligationGame, Owner, game_from_rows
-from obg.obligations import (_obligation_at, _pair_universe, find_odd_cycle,
-                             reachable_pairs)
+from obg.obligations import (SolveContext, _obligation_at, _pair_universe,
+                             find_odd_cycle, reachable_pairs)
 from obg.parity import solve_values
 import obg.parity as parity_mod
 
@@ -357,7 +362,7 @@ def _rows_of(met, edge_set):
     return {v: frozenset(pairs) for v, pairs in grouped.items()}
 
 
-def _feasible_assignment(game, met, budget=20000):
+def _feasible_assignment(game, met, context, budget=20000):
     """Lexicographically first passing maximal certificate for a met-set.
 
     Branch-and-bound over odd-cycle-free subsets of the reachable
@@ -370,14 +375,14 @@ def _feasible_assignment(game, met, budget=20000):
     universe = tuple(sorted(
         (v, u, i)
         for v in met
-        for (u, i) in _pair_universe(game, v, met)))
+        for (u, i) in _pair_universe(game, v, met, context)))
     order = sorted(met)
     terminals = []
     explored = 0
 
     def bounds_pass(edge_set):
         rows = _rows_of(met, edge_set)
-        return all(_obligation_at(game, v).holds(gamma_value(game, v, rows[v]))
+        return all(_obligation_at(game, v).holds(gamma_value(game, v, rows[v], context=context))
                    for v in order)
 
     def explore(current, kept):
@@ -412,21 +417,24 @@ def reference_dependency(game):
     A greatest-fixpoint pass first evicts every obligation that fails even
     with all reachable pairs into the remaining candidates; then candidate
     met-sets are tried largest-first, each by ``_feasible_assignment``.
+    One ``SolveContext`` memoizes the monitor games of the whole search.
     """
+    context = SolveContext(game)
     obligations = game.obligation_indices()
     candidates = set(obligations)
     changed = True
     while changed:
         changed = False
         for v in sorted(candidates):
-            bound = gamma_value(game, v, _pair_universe(game, v, frozenset(candidates)))
+            bound = gamma_value(game, v, _pair_universe(game, v, frozenset(candidates), context),
+                                context=context)
             if not _obligation_at(game, v).holds(bound):
                 candidates.discard(v)
                 changed = True
     order = sorted(candidates)
     for size in range(len(order), -1, -1):
         for combo in itertools.combinations(order, size):
-            rows = _feasible_assignment(game, frozenset(combo))
+            rows = _feasible_assignment(game, frozenset(combo), context)
             if rows is not None:
                 return Dependency.from_mapping(game, {v: sorted(rows[v]) for v in combo})
     raise AssertionError("the empty met-set is always feasible")
@@ -480,6 +488,65 @@ def test_decide_value_complementary_with_dual(seed):
     primal = decide_value(game, v, ">=", r)
     dual = decide_value(dual_game(game), v, ">", ONE - r)
     assert primal.verdict != dual.verdict
+
+
+# ---------------------------------------------------------------------------
+# One solve context per operation
+
+
+def live_contexts() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, SolveContext))
+
+
+def test_decide_value_counters_are_exact_and_repeat():
+    # the primal takes more tests than lifts, and both sides answer most
+    # monitor-game tests from their own memo
+    game = random_game(random.Random(10))
+    expected = {
+        "primal": {"monitor_products": 3, "lifting_tests": 21, "lifts": 12,
+                   "monitor_solves": 7, "memo_hits": 17},
+        "dual": {"monitor_products": 3, "lifting_tests": 6, "lifts": 5,
+                 "monitor_solves": 4, "memo_hits": 5},
+    }
+    for _ in range(2):
+        decision = decide_value(game, 0, ">=", HALF)
+        sides = {"primal": decision.primal[1], "dual": decision.dual[1]}
+        assert {side: dict(rep.stats) for side, rep in sides.items()} == expected
+        for rep in sides.values():
+            # every lifting test, and one lookup per obligation configuration
+            # for condition 3 or its pre-value, is a memo hit or a solve
+            counts = dict(rep.stats)
+            assert (counts["lifting_tests"] + len(game.obligation_indices())
+                    == counts["monitor_solves"] + counts["memo_hits"])
+
+
+def test_reports_hold_counters_and_no_memo_table():
+    before = live_contexts()
+    game = random_game(random.Random(10))
+    _, report = find_best_dependency(game, witnesses=False)
+    assert live_contexts() == before
+    assert [name for name, _ in report.stats] == list(SolveContext.COUNTERS)
+    assert all(type(name) is str and type(count) is int for name, count in report.stats)
+    assert not any(isinstance(getattr(report, f.name), (SolveContext, dict, MonitorProduct))
+                   for f in fields(report))
+
+
+def test_a_context_serves_one_game(fig6):
+    s1 = fig6.index("s1")
+    context = SolveContext(fig6)
+    assert gamma_value(fig6, s1, {(s1, 0), (s1, 2)}, context=context) == F(3, 4)
+    assert gamma_value(fig6, s1, [(s1, 2), (s1, 0)], context=context) == F(3, 4)
+    assert context.counters() == (("monitor_products", 1), ("lifting_tests", 0),
+                                  ("lifts", 0), ("monitor_solves", 1), ("memo_hits", 1))
+    with pytest.raises(InputFormatError):
+        gamma_value(dual_game(fig6), s1, (), context=context)
+
+
+def test_no_process_wide_memo_in_the_package():
+    memo = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|from functools import .*\bcache\b")
+    for path in sorted(Path(obg.__file__).parent.glob("*.py")):
+        assert not memo.search(path.read_text(encoding="utf-8")), path.name
 
 
 def test_solve_chain_fig1():
