@@ -3,7 +3,7 @@ obligation objectives, and p-automaton acceptance of finite Markov
 chains via a product-game construction.
 """
 
-from .budgets import DEFAULT_BUDGETS, Budgets, budgets_from_env
+from .budgets import DEFAULT_BUDGETS, Budgets
 from .chains import (BsccDecomposition, McEstimate, MonitorProduct,
                      ParityObjective, ReachObjective, bscc_decompose,
                      min_priority_monitor_product, monte_carlo_estimate,

@@ -1,17 +1,16 @@
 """Enumeration budgets for the exponential parts of the solvers.
 
-Every budget can be overridden through an ``OBG_BUDGET_*`` environment
-variable or per call.  Budgets must be positive.
+Each budget is a field of ``Budgets`` with its default; the library takes
+a ``Budgets`` per call and the command line sets fields through flags of
+the same name.  Budgets must be positive integers.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from .errors import InputFormatError
-
-_ENV_PREFIX = "OBG_BUDGET_"
+from .model import require_int
 
 
 @dataclass(frozen=True)
@@ -34,30 +33,9 @@ class Budgets:
     max_dependency_nodes: int = 20000
 
     def __post_init__(self) -> None:
-        for name in ("max_obligations", "max_priority", "max_strategy_pairs",
-                     "max_dependency_nodes"):
-            if getattr(self, name) <= 0:
-                raise InputFormatError(f"budget {name} must be positive")
-
-    def override(self, **kwargs) -> "Budgets":
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **kwargs) if kwargs else self
-
-
-def budgets_from_env(base: Budgets | None = None) -> Budgets:
-    """Read ``OBG_BUDGET_MAX_OBLIGATIONS`` etc. from the environment."""
-    budgets = base or Budgets()
-    overrides = {}
-    for field in ("max_obligations", "max_priority", "max_strategy_pairs",
-                  "max_dependency_nodes"):
-        raw = os.environ.get(_ENV_PREFIX + field.upper())
-        if raw is not None:
-            try:
-                overrides[field] = int(raw)
-            except ValueError:
-                raise InputFormatError(
-                    f"{_ENV_PREFIX}{field.upper()} must be an integer, got {raw!r}")
-    return budgets.override(**overrides)
+        for field in fields(self):
+            if require_int(getattr(self, field.name), f"budget {field.name}") <= 0:
+                raise InputFormatError(f"budget {field.name} must be positive")
 
 
 DEFAULT_BUDGETS = Budgets()

@@ -6,7 +6,7 @@ or a positive verdict, 1 for a negative verdict or bad certificate,
 2 for input errors, 3 for exhausted budgets, 4 for violated internal
 invariants (e.g. the determinacy identity) and any other unexpected
 exception.  Every verdict is reproducible byte-for-byte given identical
-inputs and configuration.
+arguments and input files.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
 from . import dot_export, io_formats
-from .budgets import Budgets, budgets_from_env
+from .budgets import DEFAULT_BUDGETS, Budgets
 from .chains import ParityObjective, monte_carlo_estimate, parity_measure
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError, ObgError)
@@ -38,30 +38,6 @@ EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
-
-
-@dataclass
-class RunConfiguration:
-    """Everything one invocation depends on besides the input files."""
-
-    budgets: Budgets = field(default_factory=budgets_from_env)
-    output_format: str = "table"
-    seed: int = 0
-    witnesses: bool = True
-    stats: bool = False
-
-    @staticmethod
-    def from_args(args) -> "RunConfiguration":
-        return RunConfiguration(
-            budgets=budgets_from_env().override(
-                max_obligations=getattr(args, "max_obligations", None),
-                max_priority=getattr(args, "max_priority", None),
-                max_strategy_pairs=getattr(args, "max_strategy_pairs", None),
-                max_dependency_nodes=getattr(args, "max_dependency_nodes", None)),
-            output_format=getattr(args, "format", "table"),
-            seed=getattr(args, "seed", 0),
-            witnesses=not getattr(args, "no_witnesses", False),
-            stats=getattr(args, "stats", False))
 
 
 def _read(path: str) -> str:
@@ -135,9 +111,15 @@ def _print_report(report: ObligationValueReport, fmt: str) -> None:
         print(f"witness {label}: {rendered}")
 
 
-def _print_stats(run: RunConfiguration, document: dict) -> None:
+def _budgets(args) -> Budgets:
+    """The budgets a subcommand declares as flags; the rest keep their defaults."""
+    return Budgets(**{f.name: getattr(args, f.name)
+                      for f in fields(Budgets) if hasattr(args, f.name)})
+
+
+def _print_stats(args, document: dict) -> None:
     """With ``--stats``, the solve counters as one canonical JSON line on stderr."""
-    if run.stats:
+    if args.stats:
         print(json.dumps(document, sort_keys=True, separators=(",", ":")), file=sys.stderr)
 
 
@@ -145,27 +127,28 @@ def _print_stats(run: RunConfiguration, document: dict) -> None:
 # Subcommands
 
 
-def cmd_solve_game(args, run: RunConfiguration) -> int:
+def cmd_solve_game(args) -> int:
+    budgets = _budgets(args)
     game = _load_obligation_game(args.game)
-    _, report = find_best_dependency(game, budgets=run.budgets,
-                                     witnesses=run.witnesses)
-    _print_report(report, run.output_format)
-    _print_stats(run, dict(report.stats))
+    _, report = find_best_dependency(game, budgets=budgets,
+                                     witnesses=not args.no_witnesses)
+    _print_report(report, args.format)
+    _print_stats(args, dict(report.stats))
     return EXIT_OK
 
 
-def cmd_solve_chain(args, run: RunConfiguration) -> int:
+def cmd_solve_chain(args) -> int:
+    budgets = _budgets(args)
     doc = io_formats.parse_chain_document(_read(args.chain))
     _, report = solve_chain_obligations(doc.chain, doc.priority_map(),
-                                        doc.obligation_map(),
-                                        budgets=run.budgets,
-                                        witnesses=run.witnesses)
-    _print_report(report, run.output_format)
-    _print_stats(run, dict(report.stats))
+                                        doc.obligation_map(), budgets=budgets,
+                                        witnesses=not args.no_witnesses)
+    _print_report(report, args.format)
+    _print_stats(args, dict(report.stats))
     return EXIT_OK
 
 
-def cmd_verify(args, run: RunConfiguration) -> int:
+def cmd_verify(args) -> int:
     game = _load_obligation_game(args.game)
     dep = io_formats.parse_dependency_document(_read(args.dependency), game)
     report = verify_dependency(game, dep)
@@ -190,12 +173,12 @@ def cmd_verify(args, run: RunConfiguration) -> int:
     return EXIT_OK if report.good else EXIT_NO
 
 
-def cmd_decide(args, run: RunConfiguration) -> int:
+def cmd_decide(args) -> int:
+    budgets = _budgets(args)
     game = _load_obligation_game(args.game)
     config = game.index(args.config)
     threshold = parse_rational(args.threshold)
-    decision = decide_value(game, config, args.cmp, threshold,
-                            budgets=run.budgets)
+    decision = decide_value(game, config, args.cmp, threshold, budgets=budgets)
     out = {
         "query": {"configuration": args.config, "cmp": args.cmp,
                   "threshold": format_rational(threshold)},
@@ -207,12 +190,13 @@ def cmd_decide(args, run: RunConfiguration) -> int:
             decision.dual[0], dual_game(game))["dependencies"],
     }
     print(io_formats.dumps(out), end="")
-    _print_stats(run, {"primal": dict(decision.primal[1].stats),
-                       "dual": dict(decision.dual[1].stats)})
+    _print_stats(args, {"primal": dict(decision.primal[1].stats),
+                        "dual": dict(decision.dual[1].stats)})
     return EXIT_OK if decision.verdict else EXIT_NO
 
 
-def cmd_paut(args, run: RunConfiguration) -> int:
+def cmd_paut(args) -> int:
+    budgets = _budgets(args)
     aut = io_formats.parse_automaton_document(_read(args.automaton))
     if args.paut_command == "uniform":
         uniform, witness = is_uniform(aut)
@@ -223,7 +207,7 @@ def cmd_paut(args, run: RunConfiguration) -> int:
         print(io_formats.dumps(out), end="")
         return EXIT_OK if uniform else EXIT_NO
     doc = io_formats.parse_chain_document(_read(args.chain))
-    result = accepts(aut, doc.chain, budgets=run.budgets)
+    result = accepts(aut, doc.chain, budgets=budgets)
     out = {
         "accepted": result.accepted,
         "root": result.product.names[result.root],
@@ -231,11 +215,11 @@ def cmd_paut(args, run: RunConfiguration) -> int:
         "root_value": format_rational(result.report.values[result.root]),
     }
     print(io_formats.dumps(out), end="")
-    _print_stats(run, dict(result.report.stats))
+    _print_stats(args, dict(result.report.stats))
     return EXIT_OK if result.accepted else EXIT_NO
 
 
-def cmd_export_dot(args, run: RunConfiguration) -> int:
+def cmd_export_dot(args) -> int:
     if args.chain is not None:
         aut = io_formats.parse_automaton_document(_read(args.input))
         doc = io_formats.parse_chain_document(_read(args.chain))
@@ -254,10 +238,10 @@ def cmd_export_dot(args, run: RunConfiguration) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args, run: RunConfiguration) -> int:
+def cmd_oracle(args) -> int:
+    budgets = _budgets(args)
     text = _read(args.input)
     kind = io_formats.detect_kind(text)
-    budgets = run.budgets
     if kind == "game":
         game = io_formats.parse_game_document(text).game
         if any(o is not None for o in game.obligation):
@@ -281,7 +265,7 @@ def cmd_oracle(args, run: RunConfiguration) -> int:
             raise InputFormatError("chain file carries no priorities")
         exact = parity_measure(doc.chain.succ, priority)
         estimate = monte_carlo_estimate(doc.chain, ParityObjective(tuple(priority)),
-                                        samples=args.samples, seed=run.seed,
+                                        samples=args.samples, seed=args.seed,
                                         start=doc.chain.initial)
         out = {
             "exact": format_rational(exact[doc.chain.initial]),
@@ -296,8 +280,10 @@ def cmd_oracle(args, run: RunConfiguration) -> int:
     raise InputFormatError(f"cannot run the oracle on documents of kind {kind!r}")
 
 
-def cmd_selftest(args, run: RunConfiguration) -> int:
-    budgets = run.budgets
+def cmd_selftest(args) -> int:
+    budgets = _budgets(args)
+    if args.rounds < 1:
+        raise InputFormatError(f"--rounds must be positive, got {args.rounds}")
     failures = 0
 
     def check(label: str, ok: bool) -> None:
@@ -314,7 +300,7 @@ def cmd_selftest(args, run: RunConfiguration) -> int:
         check("fig6 values are all 1", all(v == ONE for v in report.values))
     else:
         print("SKIP  fixtures not found next to the package")
-    rng = random.Random(run.seed)
+    rng = random.Random(args.seed)
     ok = True
     for _ in range(args.rounds):
         game = random_game(rng)
@@ -335,18 +321,21 @@ def cmd_selftest(args, run: RunConfiguration) -> int:
 # Argument parsing
 
 
-_BUDGET_FLAGS = {
-    "--max-obligations": "dependency-search budget (default 10)",
-    "--max-priority": "largest priority the dependency search accepts (default 4)",
-    "--max-strategy-pairs": "strategy-pair budget of the brute-force oracle (default 4096)",
-    "--max-dependency-nodes": "monitor-game test budget of the dependency search (default 20000)",
+_BUDGET_HELP = {
+    "max_obligations": "dependency-search budget",
+    "max_priority": "largest priority the dependency search accepts",
+    "max_strategy_pairs": "strategy-pair budget of the brute-force oracle",
+    "max_dependency_nodes": "monitor-game test budget of the dependency search",
 }
-_SEARCH_BUDGETS = ("--max-obligations", "--max-priority", "--max-dependency-nodes")
+_SEARCH_BUDGETS = ("max_obligations", "max_priority", "max_dependency_nodes")
 
 
-def _add_budget_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        parser.add_argument(flag, type=int, default=None, help=_BUDGET_FLAGS[flag])
+def _add_budget_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """One ``--max-...`` flag per named ``Budgets`` field, defaulting to its default."""
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), type=int,
+                            default=getattr(DEFAULT_BUDGETS, name),
+                            help=_BUDGET_HELP[name] + " (default %(default)s)")
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
@@ -410,13 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="obligation-free game file, or chain file for Monte-Carlo")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    _add_budget_flags(p, "--max-strategy-pairs")
+    _add_budget_flags(p, "max_strategy_pairs")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("selftest", help="run the bundled quick checks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=10)
-    _add_budget_flags(p, *_BUDGET_FLAGS)
+    _add_budget_flags(p, *_BUDGET_HELP)
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -426,7 +415,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, RunConfiguration.from_args(args))
+        return args.func(args)
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

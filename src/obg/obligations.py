@@ -32,7 +32,7 @@ pairs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
@@ -507,7 +507,7 @@ def decide_value(game: ObligationGame, config: int, cmp: str, threshold: Fractio
     dep0, rep0 = find_best_dependency(game, budgets=budgets, witnesses=False)
     dual = dual_game(game)
     # the dual's priority shift is our construction, not the user's input
-    dual_budgets = budgets.override(max_priority=budgets.max_priority + 1)
+    dual_budgets = replace(budgets, max_priority=budgets.max_priority + 1)
     dep1, rep1 = find_best_dependency(dual, budgets=dual_budgets, witnesses=False)
     for v in range(len(game)):
         if rep0.values[v] + rep1.values[v] != ONE:

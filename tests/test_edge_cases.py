@@ -105,6 +105,14 @@ def test_tiny_dependency_node_budget_trips(fig5):
                              budgets=Budgets(max_dependency_nodes=2))
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "5"])
+def test_budgets_reject_non_integers(bad):
+    for name in ("max_obligations", "max_priority", "max_strategy_pairs",
+                 "max_dependency_nodes"):
+        with pytest.raises(InputFormatError, match=f"budget {name} must be an integer"):
+            Budgets(**{name: bad})
+
+
 def test_parity_solver_on_single_player1_game():
     game = make_game(
         configs=[("p", Owner.PLAYER1, 1, None),

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import functools
@@ -5,15 +6,17 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from obg import InputFormatError, io_formats
-from obg.cli import RunConfiguration, build_parser, main
+from obg import Budgets, InputFormatError, io_formats
+from obg.cli import _budgets, build_parser, main
 from obg.dot_export import export_chain_dot
 
 from conftest import FIXTURES, fixture_text, load_chain_doc, load_game
@@ -238,9 +241,18 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "line" in err
 
 
-def test_cli_budget_exit_code(monkeypatch):
-    monkeypatch.setenv("OBG_BUDGET_MAX_OBLIGATIONS", "1")
-    assert main(["solve-game", fixture_path("fig6_s4_geq.game.json")]) == 3
+def test_cli_budget_exit_code(monkeypatch, capsys):
+    game = fixture_path("fig6_s4_geq.game.json")
+    assert main(["solve-game", game, "--max-obligations", "1"]) == 3
+    capsys.readouterr()
+    assert main(["solve-game", game]) == 0
+    plain = capsys.readouterr()
+    # the arguments are the whole configuration: the environment sets no budget
+    for name in ("MAX_OBLIGATIONS", "MAX_PRIORITY", "MAX_STRATEGY_PAIRS",
+                 "MAX_DEPENDENCY_NODES"):
+        monkeypatch.setenv("OBG_BUDGET_" + name, "1")
+    assert main(["solve-game", game]) == 0
+    assert capsys.readouterr() == plain
 
 
 def test_cli_budget_flags_only_where_they_act():
@@ -253,9 +265,14 @@ def test_cli_budget_flags_only_where_they_act():
     assert exc.value.code == 2
 
 
+SEARCH_COMMANDS = [["solve-game", "g"], ["solve-chain", "c"],
+                   ["decide", "g", "--config", "s", "--cmp", ">=", "--threshold", "1"],
+                   ["paut", "accepts", "a", "c"], ["selftest"]]
+
+
 def test_cli_dependency_node_budget_flag():
-    # the flag acts like OBG_BUDGET_MAX_DEPENDENCY_NODES on the search
-    # commands and is refused by the certificate checker
+    # the flag bounds the search commands and is refused by the
+    # certificate checker
     assert main(["solve-game", fixture_path("fig5.game.json"), "--no-witnesses",
                  "--max-dependency-nodes", "1"]) == 3
     assert main(["solve-game", fixture_path("fig5.game.json"), "--no-witnesses",
@@ -264,11 +281,25 @@ def test_cli_dependency_node_budget_flag():
         main(["verify", fixture_path("fig6.game.json"),
               fixture_path("fig6.dependency.json"), "--max-dependency-nodes", "5"])
     assert exc.value.code == 2
-    for command in (["solve-game", "g"], ["solve-chain", "c"],
-                    ["decide", "g", "--config", "s", "--cmp", ">=", "--threshold", "1"],
-                    ["paut", "accepts", "a", "c"], ["selftest"]):
+    for command in SEARCH_COMMANDS:
         args = build_parser().parse_args(command + ["--max-dependency-nodes", "7"])
-        assert RunConfiguration.from_args(args).budgets.max_dependency_nodes == 7
+        assert _budgets(args).max_dependency_nodes == 7
+
+
+def test_budget_flags_show_and_parse_into_their_fields(capsys):
+    parser = build_parser()
+    for command in SEARCH_COMMANDS + [["oracle", "i"]]:
+        assert _budgets(parser.parse_args(command)) == Budgets()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["selftest", "--help"])
+    shown = " ".join(capsys.readouterr().out.split())
+    for field in fields(Budgets):
+        flag = "--" + field.name.replace("_", "-")
+        default = re.search(re.escape(f"{flag} {field.name.upper()} ")
+                            + r"[^()]*\(default (\S+)\)", shown)
+        assert default and default.group(1) == str(getattr(Budgets(), field.name))
+        args = parser.parse_args(["selftest", flag, "7"])
+        assert _budgets(args) == replace(Budgets(), **{field.name: 7})
 
 
 def test_cli_internal_invariant_exit_code(monkeypatch, capsys):
@@ -319,6 +350,13 @@ def test_cli_selftest(capsys):
     assert main(["selftest", "--rounds", "3"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_selftest_needs_at_least_one_round(rounds, capsys):
+    assert main(["selftest", "--rounds", rounds]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --rounds must be positive, got {rounds}\n"
 
 
 # Each entry: fixture, CLI arguments before it, and how to plant a bad value.
@@ -417,6 +455,16 @@ def test_selftest_does_not_depend_on_asserts():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so no invariant of the package may rest on one
+    src = Path(__file__).resolve().parents[1] / "src" / "obg"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import gc
 import itertools
 import random
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -453,7 +453,7 @@ def reference_samples():
 
 def test_lifting_matches_the_met_set_enumeration():
     for game, budgets in reference_samples():
-        dual_budgets = budgets.override(max_priority=budgets.max_priority + 1)
+        dual_budgets = replace(budgets, max_priority=budgets.max_priority + 1)
         for instance, limits in ((game, budgets), (dual_game(game), dual_budgets)):
             dep, report = find_best_dependency(instance, budgets=limits, witnesses=False)
             expected = reference_dependency(instance)
