@@ -5,11 +5,13 @@ probability)`` pairs: ``mc.succ`` of a chain, ``game.kernel`` of a fully
 probabilistic game, or the rows of ``parity.induce_chain``.
 Reachability probabilities are computed by identifying the sure-zero
 set graph-theoretically (backward reachability) and solving the
-remaining linear system over exact rationals, passed to
-:func:`linalg.solve_linear_system` as sparse rows of ``(column,
-coefficient)`` pairs; the zero-set elimination guarantees a nonsingular
-system.  The parity measure is the probability of reaching the union of
-accepting bottom SCCs (minimal priority even).
+remaining linear system exactly, passed to
+:func:`linalg.solve_linear_system` as sparse rows of integer ``(column,
+coefficient)`` pairs, each row and its right-hand side scaled by the
+lcm of the row's probability denominators; the zero-set elimination
+guarantees a nonsingular system.  The parity measure is the
+probability of reaching the union of accepting bottom SCCs (minimal
+priority even).
 
 The min-priority monitor tracks the minimal priority seen along a path
 *after leaving the start configuration*: the start's own priority is
@@ -103,17 +105,23 @@ def reach_probability(rows: Rows,
         return values
     pos = {v: i for i, v in enumerate(unknown)}
     system = []
-    rhs = [ZERO] * len(unknown)
+    rhs = []
     for i, v in enumerate(unknown):
-        coefficients = {i: ONE}
+        # x_v - sum_t p_t x_t = sum_{t in target} p_t, times the lcm of
+        # the row's denominators.
+        scale = math.lcm(*(p.denominator for _, p in rows[v]))
+        coefficients = {i: scale}
+        constant = 0
         for t, p in rows[v]:
+            weight = p.numerator * (scale // p.denominator)
             if t in pos:
                 j = pos[t]
-                coefficients[j] = coefficients[j] - p if j in coefficients else -p
+                coefficients[j] = coefficients.get(j, 0) - weight
             elif t in target:
-                rhs[i] += p
+                constant += weight
             # avoid / sure-zero successors contribute nothing
         system.append(tuple(sorted((c, x) for c, x in coefficients.items() if x)))
+        rhs.append(constant)
     solution = linalg.solve_linear_system(system, rhs)
     for v, x in zip(unknown, solution):
         values[v] = x

@@ -1,14 +1,25 @@
-"""Exact linear-system solving over rationals.
+"""Exact linear-system solving over rationals, on integer rows.
 
 Sparse Gaussian elimination with back substitution.  A system is given
 as rows of ``(column, coefficient)`` pairs, the shape of
-``chains.Rows``, with no zero coefficients and no repeated column.
+``chains.Rows``, with ``int`` or ``Fraction`` coefficients and
+right-hand sides.  Each row and its right-hand side are scaled by the
+lcm of their denominators, so elimination runs on integers.
+
 Columns are eliminated in order.  The pivot for a column is the
 remaining row holding it with the fewest nonzeros, the lowest row index
 breaking ties; exactness never depends on the pivot choice, the rule
-just keeps fill low and is deterministic.  A column-to-rows index finds
-the pivot and the rows to eliminate, and follows fill and cancellation,
-so no step scans a whole row or column.
+just keeps fill low and is deterministic.  A row holding the pivot
+row's column is updated fraction-free, ``row_r <- (a_p/g) row_r -
+(a_r/g) row_p`` with ``g = gcd(a_p, a_r)``, then divided by the gcd of
+its entries and right-hand side.  Each integer row is a nonzero
+multiple of the row rational elimination would hold, so the nonzero
+pattern, the pivots and the solution are the same, but no ``Fraction``
+is made per update.  A column-to-rows index finds the pivot and the
+rows to eliminate, and follows fill and cancellation, so no step scans
+a whole row or column.  Back substitution carries each unknown as an
+integer (numerator, denominator) pair and makes one ``Fraction`` per
+unknown at the end.
 
 No iterative methods: downstream threshold comparisons are strict
 versus non-strict and must be decided exactly.
@@ -17,11 +28,14 @@ versus non-strict and must be decided exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import gcd, lcm
+from typing import Sequence, Union
 
 from .errors import InternalInvariantError
 
-ZERO = Fraction(0)
+Coefficient = Union[int, Fraction]
+
+EXACT = frozenset({int, Fraction})
 
 
 class SingularMatrixError(InternalInvariantError):
@@ -33,15 +47,52 @@ class SingularMatrixError(InternalInvariantError):
     """
 
 
-def solve_linear_system(rows: Sequence[Sequence[tuple[int, Fraction]]],
-                        rhs: Sequence[Fraction]) -> list[Fraction]:
+def _integer_row(row: Sequence[tuple[int, Coefficient]], value: Coefficient,
+                 r: int, n: int) -> tuple[dict[int, int], int]:
+    """Row r as primitive integers: scaled by the lcm of its denominators,
+    then divided by the gcd of its entries and right-hand side."""
+    entries = dict(row)
+    if len(entries) != len(row):
+        raise InternalInvariantError(f"row {r} repeats a column")
+    kinds = set(map(type, entries.values()))
+    kinds.add(type(value))
+    if not kinds <= EXACT:
+        bad = next(v for v in (*entries.values(), value) if type(v) not in EXACT)
+        raise InternalInvariantError(
+            f"row {r} holds a {type(bad).__name__}; only int and Fraction are exact")
+    if 0 in entries.values():
+        raise InternalInvariantError(f"row {r} has a zero coefficient")
+    if entries and (min(entries) < 0 or max(entries) >= n):
+        raise InternalInvariantError(f"row {r} has a column outside 0..{n - 1}")
+    if Fraction in kinds:
+        scale = lcm(value.denominator, *(v.denominator for v in entries.values()))
+        entries = {c: v.numerator * (scale // v.denominator) for c, v in entries.items()}
+        value = value.numerator * (scale // value.denominator)
+    g = gcd(value, *entries.values())
+    if g > 1:
+        entries = {c: v // g for c, v in entries.items()}
+        value //= g
+    return entries, value
+
+
+def solve_linear_system(rows: Sequence[Sequence[tuple[int, Coefficient]]],
+                        rhs: Sequence[Coefficient]) -> list[Fraction]:
     """Solve ``rows @ x = rhs`` exactly; raises SingularMatrixError.
 
-    The arguments are left unchanged.
+    A row count other than the right-hand side's, a repeated column, a
+    column out of range, a zero coefficient, or a number that is not an
+    ``int`` or a ``Fraction`` raises InternalInvariantError.  The
+    arguments are left unchanged.
     """
     n = len(rhs)
-    a = [dict(row) for row in rows]
-    b = list(rhs)
+    if len(rows) != n:
+        raise InternalInvariantError(f"{len(rows)} rows for {n} right-hand sides")
+    a: list[dict[int, int]] = []
+    b: list[int] = []
+    for r, (row, value) in enumerate(zip(rows, rhs)):
+        entries, value = _integer_row(row, value, r, n)
+        a.append(entries)
+        b.append(value)
     holders: list[set[int]] = [set() for _ in range(n)]
     for r, row in enumerate(a):
         for c in row:
@@ -56,29 +107,48 @@ def solve_linear_system(rows: Sequence[Sequence[tuple[int, Fraction]]],
             holders[c].discard(p)
         pivots.append((col, p))
         pivot = pivot_row[col]
+        rest = [(c, v) for c, v in pivot_row.items() if c != col]
+        bp = b[p]
         for r in holders[col]:
             row = a[r]
-            ratio = row.pop(col) / pivot
-            for c, v in pivot_row.items():
-                if c == col:
-                    continue
+            factor = row.pop(col)
+            g = gcd(pivot, factor)
+            keep, take = pivot // g, factor // g
+            if keep != 1:
+                for c in row:
+                    row[c] *= keep
+            for c, v in rest:
                 if c not in row:
-                    row[c] = -ratio * v
+                    row[c] = -take * v
                     holders[c].add(r)
                     continue
-                entry = row[c] - ratio * v
+                entry = row[c] - take * v
                 if entry:
                     row[c] = entry
                 else:
                     del row[c]
                     holders[c].discard(r)
-            if b[p]:
-                b[r] -= ratio * b[p]
-    x = [ZERO] * n
+            value = keep * b[r] - take * bp
+            g = gcd(value, *row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
+                value //= g
+            b[r] = value
+    num = [0] * n
+    den = [1] * n
     for col, p in reversed(pivots):
-        acc = b[p]
+        acc, acc_den = b[p], 1
         for c, v in a[p].items():
-            if c != col:
-                acc -= v * x[c]
-        x[col] = acc / a[p][col]
-    return x
+            if c != col and num[c]:
+                d = den[c]
+                if d == acc_den:
+                    acc -= v * num[c]
+                else:
+                    common = lcm(acc_den, d)
+                    acc = acc * (common // acc_den) - v * num[c] * (common // d)
+                    acc_den = common
+        acc_den *= a[p][col]
+        g = gcd(acc, acc_den)
+        num[col], den[col] = acc // g, acc_den // g
+    return [Fraction(x, d) for x, d in zip(num, den)]

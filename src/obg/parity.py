@@ -48,7 +48,9 @@ Jurdziński & Henzinger, "Quantitative stochastic parity games", SODA
 sub-arenas' regions.  Maximal end
 components are refined one SCC at a time: trap a part with the
 controller's ``_sure_safe``, split the trap into its SCCs, and keep a
-part that is its own trap.  Strategies are fixed through
+part that is its own trap.  The levels ``{priority >= e}`` are nested,
+so each level's components are sought only inside those of the level
+before.  Strategies are fixed through
 ``model.restrict_choice``.  The solvers keep nothing between calls:
 each call solves its game afresh.
 
@@ -322,9 +324,15 @@ def _certify_as(game: ObligationGame, region: frozenset[int],
             raise InternalInvariantError(
                 f"the almost-sure region is not closed at {game.names[v]}")
     fixed = restrict_choice(game, choices)
+    components = [region]
     for e in sorted({priority[v] for v in region if priority[v] % 2}):
-        part = frozenset(v for v in region if priority[v] >= e)
-        for component in _max_end_components(fixed, Owner.PLAYER1, part):
+        # The end components of priority >= e lie in those of the level before.
+        part = frozenset(v for component in components for v in component
+                         if priority[v] >= e)
+        if not part:
+            break
+        components = _max_end_components(fixed, Owner.PLAYER1, part)
+        for component in components:
             if any(priority[v] == e for v in component):
                 raise InternalInvariantError(
                     f"the almost-sure strategy loses at {game.names[min(component)]}")
@@ -435,11 +443,20 @@ def _mdp_max_parity(game: ObligationGame, controller: Owner) -> Values:
             raise InternalInvariantError(
                 "MDP analysis requires the passive player to be fully restricted")
     winning: set[int] = set()
+    components = [frozenset(range(n))]
     for e in sorted({p for p in game.priority if p % 2 == 0}):
-        sub = frozenset(v for v in range(n) if game.priority[v] >= e)
+        # The end components of priority >= e lie in those of the level
+        # before; inside a winning one they would add nothing.
+        sub = frozenset(v for component in components for v in component
+                        if game.priority[v] >= e)
+        if not sub:
+            break
+        components = []
         for component in _max_end_components(game, controller, sub):
             if any(game.priority[v] == e for v in component):
                 winning |= component
+            else:
+                components.append(component)
     return _mdp_max_reach(game, controller, frozenset(winning))
 
 

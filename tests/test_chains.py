@@ -11,6 +11,7 @@ from obg import (InputFormatError, ParityObjective, ReachObjective,
                  parity_measure, reach_probability)
 from obg.generators import random_chain
 from obg.io_formats import ChainDocument, parse_chain_document, serialize_chain_document
+from obg.linalg import solve_linear_system
 from obg.model import ONE, ZERO
 
 from conftest import load_chain_doc, load_game
@@ -150,6 +151,63 @@ def test_reach_probability_matches_ruin_closed_form(walk):
     assert values[0] == ZERO and values[-1] == ONE
     for start in (1, length // 2, length - 2):
         assert values[start] == ruin_closed_form(up, start)
+
+
+def fraction_rows_reach_probability(rows, target, avoid):
+    """reach_probability as it was before it scaled rows to integers:
+    the system x_v - sum_t p_t x_t = sum_{t in target} p_t over the
+    locations that can reach the target, solved on ``Fraction`` rows."""
+    preds = [[] for _ in rows]
+    for v, row in enumerate(rows):
+        if v not in avoid:
+            for t, _ in row:
+                preds[t].append(v)
+    can_reach, stack = set(target), list(target)
+    while stack:
+        for u in preds[stack.pop()]:
+            if u not in can_reach:
+                can_reach.add(u)
+                stack.append(u)
+    values = [ONE if v in target else ZERO for v in range(len(rows))]
+    unknown = sorted(can_reach - set(target))
+    pos = {v: i for i, v in enumerate(unknown)}
+    system, rhs = [], []
+    for i, v in enumerate(unknown):
+        coefficients, constant = {i: ONE}, ZERO
+        for t, p in rows[v]:
+            if t in pos:
+                coefficients[pos[t]] = coefficients.get(pos[t], ZERO) - p
+            elif t in target:
+                constant += p
+        system.append(tuple((c, x) for c, x in coefficients.items() if x))
+        rhs.append(constant)
+    if unknown:
+        for v, x in zip(unknown, solve_linear_system(system, rhs)):
+            values[v] = x
+    return values
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_reach_probability_matches_fraction_rows(seed):
+    # Random chains with self-loops, mixed denominators and avoid sets.
+    rng = random.Random(seed)
+    n = rng.randint(1, 25)
+    rows = []
+    for v in range(n):
+        targets = rng.sample(range(n), rng.randint(1, min(n, 4)))
+        if v not in targets and rng.random() < 0.4:
+            targets[0] = v
+        weights = [rng.randint(1, 12) for _ in targets]
+        rows.append(tuple((t, F(w, sum(weights))) for t, w in zip(targets, weights)))
+    locations = list(range(n))
+    rng.shuffle(locations)
+    split = rng.randint(1, n)
+    target = frozenset(locations[:split][:rng.randint(1, split)])
+    avoid = frozenset(locations[split:][:rng.randint(0, n - split)])
+    values = reach_probability(rows, target, avoid)
+    assert values == fraction_rows_reach_probability(rows, target, avoid)
+    assert all(type(x) is F for x in values)
 
 
 def test_long_ruin_chain_round_trips_through_the_file_format():

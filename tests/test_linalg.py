@@ -5,21 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obg.errors import InternalInvariantError
 from obg.linalg import SingularMatrixError, solve_linear_system
 
 ZERO = F(0)
+BIG = 10**30
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+big_integers = st.integers(-BIG, BIG)
+big_fractions = st.builds(F, big_integers, st.integers(1, BIG))
+exact = {"fraction": big_fractions, "integer": big_integers,
+         "mixed": st.one_of(big_integers, big_fractions)}
 
 
 def dense_solve(matrix, rhs):
     """The dense solver ``obg.linalg`` used before it went sparse, kept as the oracle.
 
-    Gaussian elimination on a full matrix; the pivot within a column is
-    the remaining row whose entry maximises |numerator * denominator|.
+    Gaussian elimination on a full matrix of ``Fraction``s (``int``
+    entries are converted); the pivot within a column is the remaining
+    row whose entry maximises |numerator * denominator|.
     """
     n = len(rhs)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    a = [[F(x) for x in row] + [F(rhs[i])] for i, row in enumerate(matrix)]
     for col in range(n):
         pivot_row = None
         pivot_weight = -1
@@ -121,17 +128,20 @@ def test_solution_satisfies_system_when_nonsingular(data):
     assert recomputed == rhs
 
 
-def random_sparse_system(rng: random.Random, n: int, shape: str):
+def random_sparse_system(rng: random.Random, n: int, shape: str, draw=None):
     """A random nonsingular n x n matrix of the given sparsity shape, and a right-hand side.
 
     ``banded`` keeps entries within distance 2 of the diagonal,
     ``permuted`` is a banded matrix with its rows and columns shuffled,
     and ``scattered`` puts up to two off-diagonal entries anywhere in
     each row.  A strictly dominant diagonal (before any shuffle) makes
-    every matrix nonsingular.
+    every matrix nonsingular.  ``draw(rng)`` gives a nonzero entry; by
+    default a small fraction.
     """
-    values = [F(k, d) for k in range(-4, 5) if k for d in (1, 2, 3, 7)]
-    matrix = [[ZERO] * n for _ in range(n)]
+    if draw is None:
+        values = [F(k, d) for k in range(-4, 5) if k for d in (1, 2, 3, 7)]
+        draw = lambda rng: rng.choice(values)  # noqa: E731
+    matrix = [[0] * n for _ in range(n)]
     for r in range(n):
         if shape == "scattered":
             cols = {rng.randrange(n) for _ in range(2)}
@@ -139,8 +149,8 @@ def random_sparse_system(rng: random.Random, n: int, shape: str):
             cols = {c for c in range(r - 2, r + 3) if 0 <= c < n and rng.random() < 0.7}
         cols.discard(r)
         for c in cols:
-            matrix[r][c] = rng.choice(values)
-        margin = abs(rng.choice(values))
+            matrix[r][c] = draw(rng)
+        margin = abs(draw(rng))
         matrix[r][r] = rng.choice((1, -1)) * (sum(abs(x) for x in matrix[r]) + margin)
     if shape == "permuted":
         row_order = list(range(n))
@@ -148,8 +158,18 @@ def random_sparse_system(rng: random.Random, n: int, shape: str):
         rng.shuffle(row_order)
         rng.shuffle(col_order)
         matrix = [[matrix[r][c] for c in col_order] for r in row_order]
-    rhs = [rng.choice(values + [ZERO]) for _ in range(n)]
+    rhs = [draw(rng) if rng.random() < 0.8 else 0 for _ in range(n)]
     return matrix, rhs
+
+
+def big_entry(kind: str):
+    """A nonzero entry whose numerator and denominator reach 10**30."""
+    def draw(rng: random.Random):
+        numerator = rng.choice((1, -1)) * rng.randint(1, BIG)
+        if kind == "integer" or (kind == "mixed" and rng.random() < 0.5):
+            return numerator
+        return F(numerator, rng.randint(1, BIG))
+    return draw
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,3 +178,49 @@ def random_sparse_system(rng: random.Random, n: int, shape: str):
 def test_sparse_solver_agrees_with_dense_oracle(seed, n, shape):
     matrix, rhs = random_sparse_system(random.Random(seed), n, shape)
     assert solve_linear_system(sparse(matrix), rhs) == dense_solve(matrix, rhs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 25),
+       st.sampled_from(["banded", "permuted", "scattered"]),
+       st.sampled_from(sorted(exact)))
+def test_large_integer_and_mixed_rows_agree_with_dense_oracle(seed, n, shape, kind):
+    matrix, rhs = random_sparse_system(random.Random(seed), n, shape, big_entry(kind))
+    assert solve_linear_system(sparse(matrix), rhs) == dense_solve(matrix, rhs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(exact)).flatmap(lambda kind: st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(exact[kind], min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(exact[kind], min_size=n, max_size=n)))))
+def test_large_dense_systems_agree_with_dense_oracle(data):
+    matrix, rhs = data
+    try:
+        expected = dense_solve(matrix, rhs)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            solve_linear_system(sparse(matrix), rhs)
+        return
+    solution = solve_linear_system(sparse(matrix), rhs)
+    assert solution == expected
+    assert all(type(x) is F for x in solution)
+
+
+@pytest.mark.parametrize("rows, rhs, message", [
+    ([((0, 1),)], [1, 2], "1 rows for 2 right-hand sides"),
+    ([((0, 1), (0, 2))], [1], "repeats a column"),
+    ([((0, 1), (1, 0)), ((1, 1),)], [1, 1], "zero coefficient"),
+    ([((0, F(1)), (1, F(0))), ((1, 1),)], [1, 1], "zero coefficient"),
+    ([((0, 0.5),)], [1], "holds a float"),
+    ([((0, True),)], [1], "holds a bool"),
+    ([((0, 1),)], [1.0], "holds a float"),
+    ([((0, 1),)], [False], "holds a bool"),
+    ([((0, 1),)], ["1"], "holds a str"),
+    ([((0, 1), (-1, 1))], [1], "column outside"),
+    ([((0, 1), (1, 1))], [1], "column outside"),
+])
+def test_malformed_systems_are_refused(rows, rhs, message):
+    with pytest.raises(InternalInvariantError, match=message) as error:
+        solve_linear_system(rows, rhs)
+    assert not isinstance(error.value, SingularMatrixError)

@@ -659,6 +659,33 @@ def test_max_end_components_match_the_whole_set_refinement():
     assert min(seen.values()) > 0, seen
 
 
+@pytest.mark.parametrize("seed, expected", [
+    # Decomposing every level of the whole arena took 9 calls over 44
+    # configurations.
+    (24, [(9, 1), (1, 0), (7, 0), (5, 1), (6, 2)]),
+    # The one component of priority >= 0 is winning, so priority >= 4 is
+    # not decomposed; it took a call over 4 configurations.
+    (54, [(5, 1)]),
+])
+def test_end_components_are_refined_inside_the_level_before(monkeypatch, seed, expected):
+    # _mdp_max_parity and _certify_as decompose each priority level inside
+    # the components of the level before (winning ones left out), and stop
+    # when none is left; recorded as (configurations, components) per call.
+    game = random_parity_game(random.Random(seed), max_configs=30, max_priority=5)
+    parts = []
+    decompose = parity_mod._max_end_components
+
+    def recording(game, controller, sub):
+        components = decompose(game, controller, sub)
+        parts.append((len(sub), len(components)))
+        return components
+
+    monkeypatch.setattr(parity_mod, "_max_end_components", recording)
+    values = parity_mod.solve_values(game)
+    assert parts == expected
+    assert values == solve_parity_oracle(game).values
+
+
 # ---------------------------------------------------------------------------
 # Canonical witnesses: the naive one-at-a-time loop they replaced, which
 # re-solves the game for every successor of every owned configuration,
