@@ -18,6 +18,17 @@ a frozen node is an absorbing win iff its pair is chosen, else a loss.
 Values then read off a single reduced game, the game with met
 obligations settled as absorbing wins and unmet ones as losses.
 
+The label m of a pair exists only so that condition 2 can rule out odd
+cycles.  A row that picks, of each obligation it reaches, all of its
+labels or none is *label-free*, and its monitor game is never built:
+below the root it is bisimilar to the game with every obligation
+settled, as won iff its labels are picked, since parity is
+prefix-independent, so its value is one Bellman step at v over that
+game's values (``gamma_value``).  Each operation's ``SolveContext``
+solves that game once per set of won obligations, and the reduced game
+is the one whose won set is the met-set.  Only a row that depends on
+its labels goes through a monitor product and its own solve.
+
 ``find_best_dependency`` realizes the nondeterministic choice of a
 certificate deterministically, as the least fixpoint of a lifting of
 parity progress measures (Jurdzinski, STACS 2000) on the obligation
@@ -41,8 +52,8 @@ from .chains import MonitorProduct, min_priority_monitor_product
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError)
 from .model import (ONE, ZERO, LabeledMarkovChain, Obligation, ObligationGame,
-                    dual_game, embed_chain_as_game, format_rational, settle)
-from .parity import ValueVector, solve_parity, solve_values
+                    Owner, dual_game, embed_chain_as_game, format_rational, settle)
+from .parity import Values, ValueVector, solve_values, value_vector
 
 Pair = tuple[int, int]  # (target obligation configuration, priority label)
 
@@ -154,24 +165,43 @@ class SolveContext:
 
     Every public entry point below makes a fresh context unless it is
     handed one, and drops it when it returns, so no memo outlives the
-    operation that filled it.  ``monitors`` holds the monitor products
-    by start configuration, ``gammas`` the monitor-game values by
-    (start, pair set).  The counters are deterministic: monitor products
-    built, lifting tests (counted against ``max_dependency_nodes``),
-    lifts, monitor-game solves (memo misses) and memo hits.
+    operation that filled it.  ``pairs`` holds the reachable pairs by
+    start configuration, ``monitors`` the monitor products by start, and
+    ``gammas`` the monitor-game values of rows that depend on their
+    labels, by (start, pairs reached).  ``settled`` holds the values of
+    the game with every obligation settled, as won iff in W, which answer
+    every label-free row (``gamma_value``) and the reduced game; it is
+    keyed by W & ``entered``, the obligations that some edge enters (a
+    self-loop counts), since settling one that no edge enters changes no
+    other value.  The counters are deterministic: monitor products built,
+    lifting tests (counted against ``max_dependency_nodes``), lifts,
+    monitor-game solves (misses of ``gammas``), hits of ``gammas``,
+    settled games solved (misses of ``settled``) and monitor-game values
+    answered by a Bellman step over a settled game.
     """
 
     COUNTERS: ClassVar[tuple[str, ...]] = (
-        "monitor_products", "lifting_tests", "lifts", "monitor_solves", "memo_hits")
+        "monitor_products", "lifting_tests", "lifts", "monitor_solves", "memo_hits",
+        "settled_solves", "settled_answers")
 
     game: ObligationGame
+    pairs: dict[int, frozenset[Pair]] = field(default_factory=dict)
     monitors: dict[int, MonitorProduct] = field(default_factory=dict)
     gammas: dict[tuple[int, frozenset[Pair]], Fraction] = field(default_factory=dict)
+    settled: dict[frozenset[int], Values] = field(default_factory=dict)
+    entered: frozenset[int] = field(init=False)
     monitor_products: int = 0
     lifting_tests: int = 0
     lifts: int = 0
     monitor_solves: int = 0
     memo_hits: int = 0
+    settled_solves: int = 0
+    settled_answers: int = 0
+
+    def __post_init__(self) -> None:
+        obligations = set(self.game.obligation_indices())
+        self.entered = frozenset(t for succ in self.game.succ for t in succ
+                                 if t in obligations)
 
     @staticmethod
     def of(game: ObligationGame, context: Optional["SolveContext"]) -> "SolveContext":
@@ -189,15 +219,58 @@ class SolveContext:
             self.monitor_products += 1
         return monitor
 
+    def settled_values(self, won: Iterable[int]) -> Values:
+        """Values of the game with every obligation settled, won iff in ``won``,
+        except that an obligation no edge enters is settled as lost."""
+        key = self.entered.intersection(won)
+        values = self.settled.get(key)
+        if values is None:
+            values = self.settled[key] = solve_values(settle(
+                self.game, {u: u in key for u in self.game.obligation_indices()}))
+            self.settled_solves += 1
+        return values
+
     def counters(self) -> tuple[tuple[str, int], ...]:
         return tuple((name, getattr(self, name)) for name in self.COUNTERS)
 
 
+def _bellman_step(game: ObligationGame, v: int, values: Sequence[Fraction]) -> Fraction:
+    """The value of v when each successor t is worth ``values[t]``."""
+    owner = game.owners[v]
+    if owner is Owner.PROBABILISTIC:
+        return sum((p * values[t] for t, p in game.kernel_row(v)), ZERO)
+    successors = (values[t] for t in game.succ[v])
+    return max(successors) if owner is Owner.PLAYER0 else min(successors)
+
+
 def reachable_pairs(game: ObligationGame, start: int, *,
                     context: Optional[SolveContext] = None) -> frozenset[Pair]:
-    """Frozen (obligation, minimal priority) pairs reachable from ``start``."""
-    monitor = SolveContext.of(game, context).monitor(start)
-    return frozenset((c, m) for _, c, m in monitor.frozen)
+    """Frozen (obligation, minimal priority) pairs reachable from ``start``.
+
+    Equal to the frozen pairs of ``start``'s monitor product, found by a
+    search over (configuration, running minimum) pairs without building
+    the product; memoized per start in the operation's ``SolveContext``.
+    """
+    ctx = SolveContext.of(game, context)
+    pairs = ctx.pairs.get(start)
+    if pairs is not None:
+        return pairs
+    if not game.succ[start]:
+        raise InternalInvariantError(
+            f"monitor start {game.names[start]} has no successor")
+    stack = [(t, game.priority[t]) for t in game.succ[start]]
+    seen = set(stack)
+    while stack:
+        config, m = stack.pop()
+        if game.obligation[config] is None:
+            for t in game.succ[config]:
+                node = (t, min(m, game.priority[t]))
+                if node not in seen:
+                    seen.add(node)
+                    stack.append(node)
+    pairs = ctx.pairs[start] = frozenset(
+        node for node in seen if game.obligation[node[0]] is not None)
+    return pairs
 
 
 def build_gamma_game(game: ObligationGame, start: int, pairs: Iterable[Pair], *,
@@ -219,16 +292,32 @@ def gamma_value(game: ObligationGame, start: int, pairs: Iterable[Pair], *,
                 context: Optional[SolveContext] = None) -> Fraction:
     """Exact value of the monitor game at its start configuration.
 
-    Memoized per (start, pair set) in the operation's ``SolveContext``,
-    as the monitor products are per start.
+    A row is label-free when, of each obligation u it picks a reachable
+    pair of, it picks every label with which ``start`` reaches u.  Let W
+    be those obligations.  Below its root the monitor game is then
+    bisimilar to the game with every obligation settled, as won iff in W:
+    a live node (c, m) moves, scores and is worth what c is, as parity is
+    prefix-independent, and a frozen node (u, m) is the same absorbing
+    sink as the settled u.  The root is never re-entered, so the value is
+    one Bellman step at ``start`` over that game's values
+    (``SolveContext.settled_values``), and no monitor product is built.
+    Only a row that depends on its labels, which condition 2 needs to
+    rule out odd cycles, has its monitor game built and solved, memoized
+    per (start, pairs reached) in the operation's ``SolveContext``.
     """
     ctx = SolveContext.of(game, context)
-    key = (start, frozenset(pairs))
+    reached = reachable_pairs(game, start, context=ctx)
+    chosen = reached.intersection(pairs)
+    won = {u for u, _ in chosen}
+    if all(pair in chosen for pair in reached if pair[0] in won):
+        ctx.settled_answers += 1
+        return _bellman_step(game, start, ctx.settled_values(won))
+    key = (start, chosen)
     value = ctx.gammas.get(key)
     if value is not None:
         ctx.memo_hits += 1
         return value
-    gamma, root = build_gamma_game(game, start, key[1], context=ctx)
+    gamma, root = build_gamma_game(game, start, chosen, context=ctx)
     value = ctx.gammas[key] = solve_values(gamma)[root]
     ctx.monitor_solves += 1
     return value
@@ -350,28 +439,36 @@ def values_given_dependency(game: ObligationGame, dep: Dependency, *,
                             context: Optional[SolveContext] = None) -> ObligationValueReport:
     """Exact values of the game under a good dependency certificate.
 
-    Pre-values at obligation configurations are the certificate's own
-    monitor values (met) or the best measure of reaching any met
-    obligation (unmet).
+    The reduced game settles the met obligations as won and the rest as
+    lost, so its values are the settled values of the met-set
+    (``SolveContext.settled_values``), shared with the label-free rows
+    that pick the same set, with each obligation's entry set by whether it
+    is met.  Pre-values at obligation configurations are the certificate's
+    own monitor values (met) or the best measure of reaching any met
+    obligation (unmet): the monitor value of a row that picks every pair of
+    every met obligation, which is label-free, so one Bellman step over
+    those same values.
     """
     ctx = SolveContext.of(game, context)
     report = verify_dependency(game, dep, context=ctx)
     if not report.good:
         raise InputFormatError("dependency is not good; verify it for a counterexample")
     fulfilled = dep.defined()
-    reduced = settle(game, {v: v in fulfilled for v in game.obligation_indices()})
-    solution = solve_parity(reduced, witnesses=witnesses)
+    obligations = game.obligation_indices()
+    reduced = settle(game, {v: v in fulfilled for v in obligations})
+    settled = ctx.settled_values(fulfilled)
     gammas = dict(report.gamma_values)
-    values = list(solution.values)
-    pre = list(solution.values)
-    for v in game.obligation_indices():
+    values, pre = list(settled), list(settled)
+    for v in obligations:
         values[v] = ONE if v in fulfilled else ZERO
         if v in fulfilled:
             pre[v] = gammas[v]
         else:
-            pre[v] = gamma_value(game, v, _pair_universe(game, v, fulfilled, ctx), context=ctx)
+            ctx.settled_answers += 1
+            pre[v] = _bellman_step(game, v, settled)
+    solution = value_vector(reduced, tuple(values), witnesses=witnesses)
     return ObligationValueReport(
-        game=game, dependency=dep, values=tuple(values), pre_values=tuple(pre),
+        game=game, dependency=dep, values=solution.values, pre_values=tuple(pre),
         fulfilled=fulfilled, reduced_game=reduced, reduced_solution=solution,
         stats=ctx.counters())
 

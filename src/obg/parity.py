@@ -730,7 +730,14 @@ def solve_parity(game: ObligationGame, *, witnesses: bool = True) -> ValueVector
     canonical optimal strategy is then read off them on the graph and
     certified there (``_canonical_strategy``), without a further solve.
     """
-    values = solve_values(game)
+    return value_vector(game, solve_values(game), witnesses=witnesses)
+
+
+def value_vector(game: ObligationGame, values: Values, *,
+                 witnesses: bool = True) -> ValueVector:
+    """``values``, the exact values of `game` found elsewhere, with each
+    player's certified canonical strategy if `witnesses`, as ``solve_parity``
+    returns them."""
     sigma = pi = None
     if witnesses:
         sigma = _canonical_strategy(game, values, 0)

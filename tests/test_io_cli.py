@@ -192,7 +192,8 @@ def test_stats_flag_changes_only_stderr(monkeypatch):
     false_verdict = ["decide", fixture_path("fig2_losing_path.chain.json"),
                      "--config", "s1", "--cmp", ">", "--threshold", "1/2"]
     tripped = ["solve-game", fixture_path("fig5.game.json"), "--max-dependency-nodes", "1"]
-    counters = ["lifting_tests", "lifts", "memo_hits", "monitor_products", "monitor_solves"]
+    counters = ["lifting_tests", "lifts", "memo_hits", "monitor_products", "monitor_solves",
+                "settled_answers", "settled_solves"]
     for argv, exit_code in [(argv, 0) for argv in commands] + [(false_verdict, 1), (tripped, 3)]:
         code, out, err = run_main(argv)
         stats_code, stats_out, stats_err = run_main(argv + ["--stats"])

@@ -206,10 +206,13 @@ def test_equal_games_share_one_hash_and_repeat_their_counters():
     assert hash(first) == hash(second) == hash(tuple(
         getattr(first, f.name) for f in fields(ObligationGame)))
     # one search: s1's monitor product, one lifting test that solves its
-    # monitor game, and condition 3 answered from the memo; a repeat, on
-    # the same game or an equal one, starts from an empty memo
+    # monitor game (the row leaves out s1's odd self-loop, so it depends
+    # on the labels), condition 3 answered from the memo, and the reduced
+    # game solved once with s1 settled; a repeat, on the same game or an
+    # equal one, starts from an empty memo
     expected = (("monitor_products", 1), ("lifting_tests", 1), ("lifts", 1),
-                ("monitor_solves", 1), ("memo_hits", 1))
+                ("monitor_solves", 1), ("memo_hits", 1),
+                ("settled_solves", 1), ("settled_answers", 0))
     for game in (first, first, second):
         assert obligations.find_best_dependency(game)[1].stats == expected
 

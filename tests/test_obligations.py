@@ -500,25 +500,33 @@ def live_contexts() -> int:
 
 
 def test_decide_value_counters_are_exact_and_repeat():
-    # the primal takes more tests than lifts, and both sides answer most
-    # monitor-game tests from their own memo
-    game = random_game(random.Random(10))
+    # both sides take more tests than lifts and answer most of them by a
+    # Bellman step over a settled game; one primal row depends on its
+    # labels, so its monitor game is solved once and then read from the memo
+    game = random_game(random.Random(242))
     expected = {
-        "primal": {"monitor_products": 3, "lifting_tests": 21, "lifts": 12,
-                   "monitor_solves": 7, "memo_hits": 17},
-        "dual": {"monitor_products": 3, "lifting_tests": 6, "lifts": 5,
-                 "monitor_solves": 4, "memo_hits": 5},
+        "primal": {"monitor_products": 1, "lifting_tests": 6, "lifts": 4,
+                   "monitor_solves": 1, "memo_hits": 1,
+                   "settled_solves": 5, "settled_answers": 7},
+        "dual": {"monitor_products": 1, "lifting_tests": 18, "lifts": 10,
+                 "monitor_solves": 1, "memo_hits": 0,
+                 "settled_solves": 4, "settled_answers": 20},
     }
     for _ in range(2):
         decision = decide_value(game, 0, ">=", HALF)
         sides = {"primal": decision.primal[1], "dual": decision.dual[1]}
         assert {side: dict(rep.stats) for side, rep in sides.items()} == expected
         for rep in sides.values():
-            # every lifting test, and one lookup per obligation configuration
-            # for condition 3 or its pre-value, is a memo hit or a solve
-            counts = dict(rep.stats)
-            assert (counts["lifting_tests"] + len(game.obligation_indices())
-                    == counts["monitor_solves"] + counts["memo_hits"])
+            assert_lookups_add_up(game, rep)
+
+
+def assert_lookups_add_up(game, report):
+    """Every lifting test, and one lookup per obligation configuration for
+    condition 3 or its pre-value, is a monitor-game solve, a Bellman step
+    over a settled game, or a hit of the monitor-game memo."""
+    counts = dict(report.stats)
+    assert (counts["lifting_tests"] + len(game.obligation_indices())
+            == counts["monitor_solves"] + counts["settled_answers"] + counts["memo_hits"])
 
 
 def test_reports_hold_counters_and_no_memo_table():
@@ -535,10 +543,18 @@ def test_reports_hold_counters_and_no_memo_table():
 def test_a_context_serves_one_game(fig6):
     s1 = fig6.index("s1")
     context = SolveContext(fig6)
+    # s1 reaches itself with labels 0, 1 and 2: leaving out 1 depends on
+    # the labels, so the monitor game is built, solved, then read back
     assert gamma_value(fig6, s1, {(s1, 0), (s1, 2)}, context=context) == F(3, 4)
     assert gamma_value(fig6, s1, [(s1, 2), (s1, 0)], context=context) == F(3, 4)
+    # all of s1's labels, or none, are answered on the settled game, and
+    # a pair s1 never reaches changes nothing
+    assert gamma_value(fig6, s1, {(s1, 0), (s1, 1), (s1, 2)}, context=context) == ONE
+    assert gamma_value(fig6, s1, {(s1, 0), (s1, 1), (s1, 2), (s1, 4)}, context=context) == ONE
+    assert gamma_value(fig6, s1, (), context=context) == ZERO
     assert context.counters() == (("monitor_products", 1), ("lifting_tests", 0),
-                                  ("lifts", 0), ("monitor_solves", 1), ("memo_hits", 1))
+                                  ("lifts", 0), ("monitor_solves", 1), ("memo_hits", 1),
+                                  ("settled_solves", 2), ("settled_answers", 3))
     with pytest.raises(InputFormatError):
         gamma_value(dual_game(fig6), s1, (), context=context)
 
@@ -612,6 +628,123 @@ def test_pre_value_thresholding_reproduces_the_verdicts(seed):
         ob = game.obligation[v]
         expected = ONE if ob.holds(report.pre_values[v]) else ZERO
         assert report.values[v] == expected
+
+
+# ---------------------------------------------------------------------------
+# Label-free rows and the reduced game, read off the settled game
+
+
+def monitor_value(game, v, row):
+    gamma, root = build_gamma_game(game, v, row)
+    return solve_values(gamma)[root]
+
+
+# products of random automata and chains need more than the default budgets
+WIDE = Budgets(max_obligations=64, max_priority=9)
+
+
+def equality_sample(seed, dual):
+    rng = random.Random(seed)
+    if seed % 3:
+        game = random_game(rng, max_configs=8, max_obligations=4)
+    else:
+        game = build_product_game(random_automaton(rng, max_states=3),
+                                  random_labeled_chain(rng, max_locations=4))[0]
+    return (dual_game(game) if dual else game), rng
+
+
+def entered_only_by_itself(game, v):
+    return [u for u in range(len(game)) if v in game.succ[u]] == [v]
+
+
+def gamma_cases(game, rng):
+    """Check ``gamma_value`` against the solve of the monitor game, in one
+    shared context and in a fresh one, on a label-free row, a random row
+    and a row naming a pair that is never reached, for each obligation;
+    return the cases met."""
+    cases = set()
+    context = SolveContext(game)
+    obligations = game.obligation_indices()
+    for v in obligations:
+        reached = reachable_pairs(game, v)
+        picked = {u for u, _ in reached if rng.random() < 0.5}
+        free = {p for p in reached if p[0] in picked}
+        rows = [free, {p for p in reached if rng.random() < 0.5}]
+        stray = sorted((u, m) for u in obligations for m in range(game.max_priority() + 1)
+                       if (u, m) not in reached)
+        if stray:
+            rows.append(free | {rng.choice(stray)})
+            cases.add("unreachable pair")
+        for row in rows:
+            won = {u for u, _ in reached & row}
+            label_free = all(p in row for p in reached if p[0] in won)
+            cases.add("label-free" if label_free else "label-dependent")
+            if label_free and v in won and entered_only_by_itself(game, v):
+                cases.add("self-loop")
+            answers = context.settled_answers
+            assert gamma_value(game, v, row, context=context) == monitor_value(game, v, row)
+            assert gamma_value(game, v, row) == monitor_value(game, v, row)
+            # a row that depends on its labels goes through its monitor game
+            assert context.settled_answers == answers + label_free
+    return cases
+
+
+def reduced_cases(game, dep):
+    """Check ``values_given_dependency`` under `dep` against a solve of
+    its reduced game, and each pre-value against its monitor game; return
+    the cases met."""
+    report = values_given_dependency(game, dep)
+    met = dep.defined()
+    assert report.reduced_solution == solve_parity(report.reduced_game)
+    assert report.values == report.reduced_solution.values
+    assert_lookups_add_up(game, report)
+    entered = {t for succ in game.succ for t in succ}
+    cases = set()
+    for v in game.obligation_indices():
+        row = dep.get(v)
+        if row is None:
+            row = _pair_universe(game, v, met)
+        assert report.pre_values[v] == monitor_value(game, v, row)
+        if v in met and v not in entered:
+            cases.add("no incoming edge")
+    return cases
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_gamma_value_equals_the_monitor_game_solve(seed, dual):
+    game, rng = equality_sample(seed, dual)
+    gamma_cases(game, rng)
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_values_given_dependency_equals_the_reduced_game_solve(seed, dual):
+    game, _ = equality_sample(seed, dual)
+    dep, report = find_best_dependency(game, budgets=WIDE)
+    assert_lookups_add_up(game, report)
+    reduced_cases(game, dep)
+    reduced_cases(game, Dependency.from_mapping(game, {}))
+
+
+def test_the_equality_samples_cover_every_case():
+    cases = set()
+    for seed in range(60):
+        for dual in (False, True):
+            game, rng = equality_sample(seed, dual)
+            cases |= gamma_cases(game, rng)
+            cases |= reduced_cases(game, find_best_dependency(game, budgets=WIDE)[0])
+    assert cases == {"label-free", "label-dependent", "unreachable pair", "self-loop",
+                     "no incoming edge"}
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_reachable_pairs_are_the_monitor_products_frozen_pairs(seed, dual):
+    game, _ = equality_sample(seed, dual)
+    for v in range(len(game)):
+        frozen = min_priority_monitor_product(game, v).frozen
+        assert reachable_pairs(game, v) == frozenset((c, m) for _, c, m in frozen)
 
 
 # ---------------------------------------------------------------------------

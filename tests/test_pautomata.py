@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from obg import (InputFormatError, accepts, accepts_layered,
                  build_automaton_graph, build_product_game, closure,
-                 dual_game, find_best_dependency, reach_probability)
+                 dual_game, find_best_dependency, linalg, make_chain,
+                 reach_probability)
 from obg.model import ONE, ZERO, Owner
 from obg.budgets import Budgets
 from obg.pautomata import (FF, TT, And, Or, PAutomaton, StateAtom, Term,
@@ -217,6 +218,36 @@ def test_layered_solve_agrees_with_general():
         assert layered_verdict == general.accepted
         for v, value in layered_values.items():
             assert value == general.report.values[v]
+
+
+def test_ruin_chain_acceptance_solves_one_system(monkeypatch):
+    # [q >= 1/2], q waiting for the label a, on a gambler's ruin over
+    # 0..249 whose top is labelled a: the lifting's one test and the
+    # reduced game read the same settled game, so one system is solved
+    length = 250
+    names = [f"s{k}" for k in range(length)]
+    transitions = {names[0]: {names[0]: ONE}, names[-1]: {names[-1]: ONE}}
+    for k in range(1, length - 1):
+        up = (F(1, 3), F(2, 3))[k % 2]
+        transitions[names[k]] = {names[k + 1]: up, names[k - 1]: ONE - up}
+    chain = make_chain(names, transitions, labels={names[-1]: ["a"]},
+                       initial=names[length // 2])
+    aut = PAutomaton(propositions=("a",), states=("q",), priority={"q": 1},
+                     cases={"q": {frozenset(): StateAtom("q"), frozenset({"a"}): TT}},
+                     default={"q": FF}, initial=Term("q", ">=", HALF))
+    dimensions = []
+    solve = linalg.solve_linear_system
+
+    def recording(rows, rhs):
+        dimensions.append(len(rhs))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(linalg, "solve_linear_system", recording)
+    result = accepts(aut, chain)
+    assert dimensions == [length - 1]
+    assert dict(result.report.stats)["settled_solves"] == 1
+    reach = reach_probability(chain.succ, frozenset({length - 1}))
+    assert result.accepted == (reach[chain.initial] >= HALF)
 
 
 def test_complement_duality_on_fixture_chains():
