@@ -63,9 +63,12 @@ is decided on the graph alone, by the value-class characterisation of
 Chatterjee, Jurdziński & Henzinger: the player must still win almost
 surely, from all of each value class of positive value, the class game
 in which the other classes and the chance configurations leaving the
-class are settled (``_class_game``, ``_keeps_values``).  The finished
-strategy is certified the same way, with ``_certify_as`` on each class
-game, so a witness costs no linear system.  Enumeration in the oracle
+class are settled (``_class_game``, ``_keeps_values``).  Most choices
+need no such test: each class holds an almost-sure strategy of its class
+game, solved once or left by its last passing test, and a candidate that
+strategy picks keeps the values.  The finished strategy is certified the
+same way, with ``_certify_as`` on each class game, so a witness costs no
+linear system.  Enumeration in the oracle
 may be parallelized over Player-0 strategies as long as this
 deterministic reduction is kept.
 """
@@ -653,34 +656,43 @@ def _player_view(game: ObligationGame, values: Values,
     up; and the classes where `player`'s value is positive."""
     if player:
         game = dual_game(game)
-    levels = sorted(set(values), reverse=bool(player))
-    number = {r: k for k, r in enumerate(levels)}
+    # Values are told apart by (numerator, denominator), which hashes far
+    # faster than a Fraction.
+    keys = [(x.numerator, x.denominator) for x in values]
+    levels = sorted(dict(zip(keys, values)).items(), key=lambda level: level[1],
+                    reverse=bool(player))
+    number = {key: k for k, (key, _) in enumerate(levels)}
     lost = (ZERO, ONE)[player]
-    return (game, tuple(number[x] for x in values),
-            [k for k, r in enumerate(levels) if r != lost])
+    return (game, tuple(number[key] for key in keys),
+            [k for k, (_, r) in enumerate(levels) if r != lost])
 
 
-def _keeps_values(game: ObligationGame, rank: tuple[int, ...], classes: list[int]) -> bool:
-    """Whether Player 0 wins the class game of each of `classes` almost
+def _keeps_values(game: ObligationGame, rank: tuple[int, ...],
+                  classes: list[int]) -> Optional[dict[int, int]]:
+    """Player 0's moves winning the class game of each of `classes` almost
     surely from all of its class, in `game`, a restriction of Player 0's
-    moves in a game whose value classes are `rank` (``_player_view``).
+    moves in a game whose value classes are `rank` (``_player_view``);
+    None if some class game is not won so.
 
-    The restriction keeps the values exactly when this holds for every
-    class of positive value.  If it holds, the values of the play's
+    The restriction keeps the values exactly when such moves exist for
+    every class of positive value.  If they do, the values of the play's
     classes form a submartingale against any opponent, which settles in
     one class, and in a class of positive value the parity objective is
     then won almost surely; conversely an optimal strategy of a
     restriction that keeps the values wins each class game so.  A class
     game depends only on the moves inside its class, and it is solved on
-    the class and its settled successors.  No linear system is solved.
+    the class and its settled successors; the moves returned lie in the
+    classes.  No linear system is solved.
     """
+    moves: dict[int, int] = {}
     for k in classes:
         cls = frozenset(v for v in range(len(game)) if rank[v] == k)
         class_game = _class_game(game, rank, k)
-        won, _ = _as_strategy(class_game, cls.union(*(class_game.succ[v] for v in cls)))
+        won, choices = _as_strategy(class_game, cls.union(*(class_game.succ[v] for v in cls)))
         if not cls <= won:
-            return False
-    return True
+            return None
+        moves.update(choices)
+    return moves
 
 
 def _canonical_strategy(game: ObligationGame, values: Values,
@@ -692,13 +704,26 @@ def _canonical_strategy(game: ObligationGame, values: Values,
     smallest successor that keeps the values on top of the choices fixed
     so far; the result equals the first optimal strategy in the
     enumeration order used by the oracle.  The choices so far keep the
-    values, so ``_keeps_values`` tests v's class alone.  Only successors
-    of v's value can keep them, and as optimal pure memoryless strategies
-    exist in every restriction that keeps them, one of those does: when
-    all earlier ones fail, the last is taken untested.  Where `player`
-    loses almost surely (value 0 for Player 0, 1 for Player 1) any of them
-    keeps the values, since the opponent's optimal strategy wins from
-    there whatever the player does, so the first is taken untested.
+    values, so a keep test (``_keeps_values``) concerns v's class alone.
+    Only successors of v's value can keep them, and as optimal pure
+    memoryless strategies exist in every restriction that keeps them, one
+    of those does: when all earlier ones fail, the last is taken
+    untested.  Where `player` loses almost surely (value 0 for Player 0,
+    1 for Player 1) any of them keeps the values, since the opponent's
+    optimal strategy wins from there whatever the player does, so the
+    first is taken untested.
+
+    Most tests are answered by a strategy already in hand.  Each class k
+    of positive value may hold moves that win its class game almost
+    surely from all of k in the game restricted so far.  At k's first
+    choice with more than one candidate the class game of the unrestricted
+    game is solved, and its moves are held if they win all of k and agree
+    with the choices of k fixed before; after that each passing test
+    leaves its own moves.  Held moves still win after every choice that
+    agrees with them, so at v the candidate they pick keeps the values,
+    and it is taken untested once the candidates before it have failed
+    their tests.  A choice that disagrees with them, which exact values
+    never cause, leaves k with no held moves until its next passing test.
 
     The finished strategy is certified: for each class of positive value
     r for `player`, it must win that class game almost surely from every
@@ -707,18 +732,37 @@ def _canonical_strategy(game: ObligationGame, values: Values,
     failure raises InternalInvariantError.
     """
     seen, rank, classes = _player_view(game, values, player)
+    class_games = {k: _class_game(seen, rank, k) for k in classes}
+    held: dict[int, Optional[dict[int, int]]] = {}
     choices: dict[int, int] = {}
     for v in _player_states(game, (Owner.PLAYER0, Owner.PLAYER1)[player]):
-        same = [u for u in game.succ[v] if rank[u] == rank[v]]
+        k = rank[v]
+        same = [u for u in game.succ[v] if rank[u] == k]
         if not same:
             raise InternalInvariantError(f"no choice at {game.names[v]} keeps the values")
-        if rank[v] not in classes:
-            same = same[:1]
-        choices[v] = next((u for u in same[:-1] if _keeps_values(
-            restrict_choice(seen, {**choices, v: u}), rank, [rank[v]])), same[-1])
+        u = same[0]
+        if k in classes and len(same) > 1:
+            if k not in held:
+                cls = frozenset(w for w in range(len(game)) if rank[w] == k)
+                won, moves = _as_strategy(class_games[k],
+                                          cls.union(*(class_games[k].succ[w] for w in cls)))
+                agrees = cls <= won and all(moves.get(w) == choices[w]
+                                            for w in cls if w in choices)
+                held[k] = moves if agrees else None
+            for u in same[:-1]:
+                if held[k] is not None and held[k].get(v) == u:
+                    break
+                moves = _keeps_values(restrict_choice(seen, {**choices, v: u}), rank, [k])
+                if moves is not None:
+                    held[k] = moves
+                    break
+            else:
+                u = same[-1]
+        choices[v] = u
+        if held.get(k) is not None and held[k].get(v) != u:
+            held[k] = None
     for k in classes:
-        _certify_as(_class_game(seen, rank, k),
-                    frozenset(v for v in range(len(game)) if rank[v] >= k),
+        _certify_as(class_games[k], frozenset(v for v in range(len(game)) if rank[v] >= k),
                     {v: u for v, u in choices.items() if rank[v] == k})
     return PureMemorylessStrategy.from_dict(player, choices)
 
@@ -804,14 +848,13 @@ class ThresholdDecision:
 
 
 def decide_parity_threshold(game: ObligationGame, config: int, cmp: str,
-                            threshold: Fraction, *,
-                            budgets: Budgets = DEFAULT_BUDGETS) -> ThresholdDecision:
+                            threshold: Fraction) -> ThresholdDecision:
     """Decide value(config) cmp threshold on exact rationals.
 
     The certificate is the optimal strategy of whichever player the
-    verdict favours; it is re-verified through induce_chain +
-    parity_measure (against every opposing strategy when enumeration
-    fits the budget, else against the canonical opponent witness).
+    verdict favours.  It is re-verified by one best response, the exact
+    value of fixing it (on the dual game for Player 1), which must secure
+    the value at `config` against every opposing strategy.
     """
     if cmp not in (GE, GT):
         raise InputFormatError("comparator must be '>=' or '>'")
@@ -825,25 +868,12 @@ def decide_parity_threshold(game: ObligationGame, config: int, cmp: str,
     verdict = value >= threshold if cmp == GE else value > threshold
     player = 0 if verdict else 1
     certificate = _canonical_strategy(game, values, player)
-
-    def measure_against(opponent: PureMemorylessStrategy) -> Fraction:
-        if player == 0:
-            chain = induce_chain(game, certificate, opponent)
-        else:
-            chain = induce_chain(game, opponent, certificate)
-        return parity_measure(chain, game.priority)[config]
-
-    opposing_owner = (Owner.PLAYER1, Owner.PLAYER0)[player]
-    if _strategy_count(game, opposing_owner) <= budgets.max_strategy_pairs:
-        opponents = [PureMemorylessStrategy.from_dict(1 - player, s)
-                     for s in _strategies(game, opposing_owner)]
+    if player == 0:
+        sound = _best_response_values(game, certificate.as_dict())[config] >= value
     else:
-        opponents = [_canonical_strategy(game, values, 1 - player)]
-    for opponent in opponents:
-        achieved = measure_against(opponent)
-        sound = achieved >= value if player == 0 else achieved <= value
-        if not sound:
-            raise InternalInvariantError(
-                f"witness strategy fails re-verification at {game.names[config]}")
+        sound = ONE - _best_response_values(dual_game(game), certificate.as_dict())[config] <= value
+    if not sound:
+        raise InternalInvariantError(
+            f"witness strategy fails re-verification at {game.names[config]}")
     return ThresholdDecision(verdict=verdict, value=value,
                              certificate=certificate, certificate_player=player)

@@ -729,7 +729,7 @@ def random_restriction(game, owner, rng):
 
 
 def assert_keep_test_is_exact(game, trial, values, player):
-    keeps = parity_mod._keeps_values(*parity_mod._player_view(trial, values, player))
+    keeps = parity_mod._keeps_values(*parity_mod._player_view(trial, values, player)) is not None
     assert keeps == (parity_mod.solve_values(trial) == values)
     return keeps
 
@@ -770,18 +770,33 @@ def test_keep_test_agrees_with_a_re_solve_on_every_restriction_of_fractional_gam
     assert outcomes == {True, False}
 
 
+def plant(patch, keeps, held=None):
+    """Make every keep test answer `keeps` (yes with no moves, or no) and
+    every almost-sure solve win its whole arena with the moves `held`,
+    or win nothing when `held` is None, so no class holds a strategy."""
+    patch.setattr(parity_mod, "_keeps_values", lambda *args: {} if keeps else None)
+    patch.setattr(parity_mod, "_as_strategy",
+                  lambda game, sub: (frozenset(), {}) if held is None else (sub, held))
+
+
 def test_canonical_strategy_tests_the_final_restriction(monkeypatch):
     # A lying keep test plants the first (or, answering no, the last)
-    # same-valued successor everywhere.  In these games that loses value
-    # for the player, so the certification of the finished strategy must
-    # reject it.
+    # same-valued successor everywhere; so does a lying almost-sure
+    # strategy that holds one of them, when every test fails.  In these
+    # games that loses value for the player, so the certification of the
+    # finished strategy must reject it.
     for seed, player in ((0, 1), (36, 0)):
         game = random_parity_game(random.Random(seed), max_configs=10)
         values = parity_mod.solve_values(game)
         for answer in (True, False):
-            monkeypatch.setattr(parity_mod, "_keeps_values", lambda *args: answer)
-            with pytest.raises(InternalInvariantError):
-                parity_mod._canonical_strategy(game, values, player)
+            with pytest.MonkeyPatch.context() as patch:
+                plant(patch, answer)
+                with pytest.raises(InternalInvariantError):
+                    parity_mod._canonical_strategy(game, values, player)
+            with pytest.MonkeyPatch.context() as patch:
+                plant(patch, False, planted_strategy(game, values, player, answer))
+                with pytest.raises(InternalInvariantError):
+                    parity_mod._canonical_strategy(game, values, player)
 
 
 def planted_strategy(game, values, player, first):
@@ -810,14 +825,17 @@ def test_certification_rejects_exactly_the_planted_strategies_that_lose_value(se
             else:
                 secures = parity_mod._best_response_values(dual_game(game), planted) == \
                     tuple(ONE - x for x in values)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(parity_mod, "_keeps_values", lambda *args: answer)
-                if secures:
-                    assert parity_mod._canonical_strategy(game, values, player) == \
-                        PureMemorylessStrategy.from_dict(player, planted)
-                else:
-                    with pytest.raises(InternalInvariantError):
-                        parity_mod._canonical_strategy(game, values, player)
+            # Planted by the keep test alone, or by a held strategy that
+            # answers where every keep test fails.
+            for keeps, held in ((answer, None), (False, planted)):
+                with pytest.MonkeyPatch.context() as patch:
+                    plant(patch, keeps, held)
+                    if secures:
+                        assert parity_mod._canonical_strategy(game, values, player) == \
+                            PureMemorylessStrategy.from_dict(player, planted)
+                    else:
+                        with pytest.raises(InternalInvariantError):
+                            parity_mod._canonical_strategy(game, values, player)
 
 
 def no_linear_algebra(monkeypatch):
@@ -883,18 +901,156 @@ def test_canonical_strategy_takes_hopeless_moves_untested(monkeypatch):
 
 def test_canonical_strategy_takes_the_last_candidate_untested(monkeypatch):
     # Both configurations win almost surely.  At a the odd self-loop is
-    # tested and fails, so b is taken untested; at b the self-loop-free
-    # choice a is tested and passes.  The finished strategy is certified
-    # on the graph, not tested again.
+    # tested and fails, so b is taken untested.  At b the strategy that
+    # won the class game before any choice moves to a, the first
+    # candidate, and agrees with a's choice, so a is taken untested too.
+    # The finished strategy is certified on the graph, not tested again.
     game = make_game([("a", Owner.PLAYER0, 1, None), ("b", Owner.PLAYER0, 0, None)],
                      [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")], {})
     values = parity_mod.solve_values(game)
     assert values == (ONE, ONE)
+    with pytest.MonkeyPatch.context() as patch:
+        tests = count_calls(patch, "_keeps_values")
+        certified = count_calls(patch, "_certify_as")
+        assert parity_mod._canonical_strategy(game, values, 0).as_dict() == {0: 1, 1: 0}
+        assert [trial.succ for trial, _, _ in tests] == [((0,), (0, 1))]
+        assert len(certified) == 1
+    # Planted without held strategies, the losing self-loop at a is
+    # rejected by the certification.
+    plant(monkeypatch, True)
+    with pytest.raises(InternalInvariantError):
+        parity_mod._canonical_strategy(game, values, 0)
+
+
+def test_held_strategies_out_of_step_with_the_choices_answer_nothing(monkeypatch):
+    # x must move to a; a and b may move to either.  Every keep test
+    # answers no, and the almost-sure solve returns lying moves.  Moves
+    # that disagree with x's choice, fixed before them, that a's choice
+    # leaves, or that do not win the whole class answer nothing after
+    # that, so a and b both take their last candidate.
+    game = make_game([("x", Owner.PLAYER0, 0, None), ("a", Owner.PLAYER0, 1, None),
+                      ("b", Owner.PLAYER0, 0, None)],
+                     [("x", "a"), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")], {})
+    values = parity_mod.solve_values(game)
+    assert values == (ONE, ONE, ONE)
+    for wins, moves in ((True, {0: 2, 1: 1, 2: 1}), (True, {0: 1, 2: 1}),
+                        (False, {0: 1, 1: 1, 2: 1})):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parity_mod, "_keeps_values", lambda *args: None)
+            patch.setattr(parity_mod, "_as_strategy",
+                          lambda game, sub: (sub if wins else frozenset(), moves))
+            assert parity_mod._canonical_strategy(game, values, 0).as_dict() == \
+                {0: 1, 1: 2, 2: 2}
+
+
+def reference_canonical_strategy(game, values, player):
+    """The test-every-candidate loop: each choice with more than one
+    candidate of a class of positive value runs keep tests until one
+    passes, and the last candidate is taken untested."""
+    seen, rank, classes = parity_mod._player_view(game, values, player)
+    choices = {}
+    for v in parity_mod._player_states(game, (Owner.PLAYER0, Owner.PLAYER1)[player]):
+        same = [u for u in game.succ[v] if rank[u] == rank[v]]
+        if not same:
+            raise InternalInvariantError(f"no choice at {game.names[v]} keeps the values")
+        if rank[v] not in classes:
+            same = same[:1]
+        choices[v] = next((u for u in same[:-1] if parity_mod._keeps_values(
+            restrict_choice(seen, {**choices, v: u}), rank, [rank[v]]) is not None), same[-1])
+    for k in classes:
+        parity_mod._certify_as(parity_mod._class_game(seen, rank, k),
+                               frozenset(v for v in range(len(game)) if rank[v] >= k),
+                               {v: u for v, u in choices.items() if rank[v] == k})
+    return PureMemorylessStrategy.from_dict(player, choices)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+@example(FRACTIONAL_SEEDS[0])
+def test_held_strategies_give_the_strategy_of_the_test_every_candidate_loop(seed):
+    primal = random_parity_game(random.Random(seed), max_configs=40)
+    for game in (primal, dual_game(primal)):
+        values = parity_mod.solve_values(game)
+        for player in (0, 1):
+            assert parity_mod._canonical_strategy(game, values, player) == \
+                reference_canonical_strategy(game, values, player)
+
+
+def test_held_strategies_halve_the_keep_tests_of_a_large_game(monkeypatch):
+    # 192 configurations, 27 value classes.  Both witnesses are the
+    # reference loop's; of its 16 keep tests, 8 are answered by a held
+    # strategy.
+    game = random_parity_game(random.Random(536), max_configs=200, max_priority=5)
+    values = parity_mod.solve_values(game)
     tests = count_calls(monkeypatch, "_keeps_values")
-    certified = count_calls(monkeypatch, "_certify_as")
-    assert parity_mod._canonical_strategy(game, values, 0).as_dict() == {0: 1, 1: 0}
-    assert [trial.succ for trial, _, _ in tests] == [((0,), (0, 1)), ((1,), (0,))]
-    assert len(certified) == 1
+    reference = [reference_canonical_strategy(game, values, p) for p in (0, 1)]
+    run = len(tests)
+    assert [parity_mod._canonical_strategy(game, values, p) for p in (0, 1)] == reference
+    assert (run, len(tests) - run) == (16, 8)
+
+
+def beaten(game, certificate, player, config, value):
+    """Whether some opposing strategy, enumerated, holds `certificate`
+    below (for Player 0) or above (for Player 1) `value` at `config`."""
+    for s in parity_mod._strategies(game, (Owner.PLAYER1, Owner.PLAYER0)[player]):
+        opponent = PureMemorylessStrategy.from_dict(1 - player, s)
+        pair = (certificate, opponent) if player == 0 else (opponent, certificate)
+        achieved = parity_measure(induce_chain(game, *pair), game.priority)[config]
+        if (achieved < value) if player == 0 else (achieved > value):
+            return True
+    return False
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_threshold_certificates_are_rejected_exactly_when_an_opponent_beats_them(seed, first):
+    # The threshold is the value, so >= gives Player 0 the verdict and >
+    # gives it to Player 1.
+    game = random_parity_game(random.Random(seed), max_configs=8)
+    values = parity_mod.solve_values(game)
+    for player, cmp in ((0, ">="), (1, ">")):
+        certificate = PureMemorylessStrategy.from_dict(
+            player, planted_strategy(game, values, player, first))
+        for config in range(len(game)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(parity_mod, "_canonical_strategy", lambda *args: certificate)
+                if beaten(game, certificate, player, config, values[config]):
+                    with pytest.raises(InternalInvariantError):
+                        decide_parity_threshold(game, config, cmp, values[config])
+                else:
+                    decision = decide_parity_threshold(game, config, cmp, values[config])
+                    assert (decision.certificate_player, decision.certificate) == \
+                        (player, certificate)
+
+
+def test_threshold_certificate_checked_beyond_the_pair_budget(monkeypatch):
+    # At c, Player 0 wins surely by moving to the won sink w; moving to d
+    # lets Player 1 close the odd cycle c d.  The canonical opponent moves
+    # d to its first successor e, which wins for Player 0 too, so it does
+    # not expose the planted move to d; only another opponent does.
+    # Thirteen unreachable Player-1 choices put the opponent's strategies
+    # beyond the pair budget.
+    rows = [("e", Owner.PROBABILISTIC, 0, None), ("c", Owner.PLAYER0, 1, None),
+            ("d", Owner.PLAYER1, 2, None), ("w", Owner.PROBABILISTIC, 0, None),
+            ("l", Owner.PROBABILISTIC, 1, None)]
+    edges = [("c", "d"), ("c", "w"), ("d", "e"), ("d", "c"), ("e", "w"),
+             ("w", "w"), ("l", "l")]
+    for i in range(13):
+        rows.append((f"x{i}", Owner.PLAYER1, 2, None))
+        edges += [(f"x{i}", "w"), (f"x{i}", "l")]
+    game = make_game(rows, edges, {"e": {"w": ONE}, "w": {"w": ONE}, "l": {"l": ONE}})
+    assert parity_mod._strategy_count(game, Owner.PLAYER1) > Budgets().max_strategy_pairs
+    values = parity_mod.solve_values(game)
+    assert values[:3] == (ONE, ONE, ONE)
+    planted = sigma({1: 2})
+    optimal = parity_mod._canonical_strategy(game, values, 1)
+    assert parity_measure(induce_chain(game, planted, optimal), game.priority)[1] == ONE
+    canonical = parity_mod._canonical_strategy
+    monkeypatch.setattr(parity_mod, "_canonical_strategy",
+                        lambda game, values, player: canonical(game, values, player)
+                        if player else planted)
+    with pytest.raises(InternalInvariantError):
+        decide_parity_threshold(game, 1, ">=", ONE)
 
 
 def test_solved_games_can_be_garbage_collected():
