@@ -4,9 +4,8 @@ chains via a product-game construction.
 """
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .chains import (BsccDecomposition, McEstimate, MonitorProduct,
-                     ParityObjective, ReachObjective, bscc_decompose,
-                     min_priority_monitor_product, monte_carlo_estimate,
+from .chains import (BsccDecomposition, McEstimate, ParityObjective,
+                     ReachObjective, bscc_decompose, monte_carlo_estimate,
                      parity_measure, reach_probability)
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError, ObgError, OracleInfeasibleError)

@@ -23,8 +23,9 @@ class Budgets:
     max_dependency_nodes caps the monitor-game tests of the dependency
     search's progress-measure lifting, memo hits included.  Each test adds
     at most one value to the search's per-operation memo, so it bounds
-    that memo too, beside one monitor product per obligation configuration
-    and one value per obligation configuration read off the certificate.
+    that memo too, beside one set of reachable pairs per obligation
+    configuration and one value per obligation configuration read off the
+    certificate.
     """
 
     max_obligations: int = 10

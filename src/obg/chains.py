@@ -13,12 +13,6 @@ guarantees a nonsingular system.  The parity measure is the
 probability of reaching the union of accepting bottom SCCs (minimal
 priority even).
 
-The min-priority monitor tracks the minimal priority seen along a path
-*after leaving the start configuration*: the start's own priority is
-excluded, the endpoint's included.  Entering any obligation
-configuration freezes the (configuration, minimum) pair for
-classification by the caller.  See README, "Monitor semantics".
-
 Monte-Carlo estimation is a statistical cross-check only and never
 feeds solver decisions; it is the one place floats are allowed.
 """
@@ -34,8 +28,7 @@ from typing import Optional, Sequence, Union
 from . import linalg
 from .errors import InputFormatError, InternalInvariantError
 from .graphs import reachable_from, tarjan_scc
-from .model import (ONE, ZERO, ConfigRow, LabeledMarkovChain, ObligationGame,
-                    Owner, explore_game)
+from .model import ONE, ZERO, LabeledMarkovChain
 
 Rows = Sequence[Sequence[tuple[int, Fraction]]]
 
@@ -140,70 +133,6 @@ def parity_measure(rows: Rows, priority: Sequence[int]) -> list[Fraction]:
         if acc:
             target |= comp
     return reach_probability(rows, frozenset(target))
-
-
-# ---------------------------------------------------------------------------
-# Min-priority monitor product
-
-
-@dataclass(frozen=True)
-class MonitorProduct:
-    """Product of a game with the running minimum of priorities.
-
-    Nodes are either the root (the start configuration, no minimum yet),
-    a live pair ``(configuration, m)`` for a non-obligation
-    configuration, or a frozen absorbing pair for an obligation
-    configuration.  The running minimum is non-increasing along any
-    path.  Size is at most |V| * (k+1) + number of frozen pairs.
-    """
-
-    product: ObligationGame
-    start: int                                  # root node index
-    live: tuple[tuple[int, int, int], ...]      # (node, configuration, m)
-    frozen: tuple[tuple[int, int, int], ...]    # (node, configuration, m), absorbing
-
-    def frozen_node(self, config: int, m: int) -> Optional[int]:
-        for node, c, mm in self.frozen:
-            if c == config and mm == m:
-                return node
-        return None
-
-
-def min_priority_monitor_product(game: ObligationGame, start: int) -> MonitorProduct:
-    """Annotate reachable states of ``game`` with the minimal priority since ``start``.
-
-    The minimum excludes the start's own priority and includes the
-    current configuration's.  The first visit to an obligation
-    configuration freezes its pair, which becomes absorbing.  Nodes are
-    numbered in discovery order (:func:`model.explore_game`): the root
-    is 0, and a node's successors follow its configuration's sorted
-    successors.
-    """
-    if not game.succ[start]:
-        raise InternalInvariantError(
-            f"monitor start {game.names[start]} has no successor")
-
-    def step(m_before: Optional[int], target: int) -> tuple[str, int, int]:
-        m = game.priority[target] if m_before is None else min(m_before, game.priority[target])
-        return ("frozen" if game.obligation[target] is not None else "live", target, m)
-
-    def expand(key: tuple[str, int, Optional[int]]) -> ConfigRow:
-        kind, config, m = key
-        name, prio = game.names[config], game.priority[config]
-        if kind == "frozen":
-            return f"{name}!{m}", Owner.PROBABILISTIC, prio, None, [(key, ONE)]
-        owner = game.owners[config]
-        if owner is Owner.PROBABILISTIC:
-            moves: list = [(step(m, t), p) for t, p in game.kernel_row(config)]
-        else:
-            moves = [step(m, t) for t in game.succ[config]]
-        return f"{name}@{'start' if kind == 'root' else m}", owner, prio, None, moves
-
-    product, keys = explore_game(("root", start, None), expand)
-    nodes = [(kind, (node, c, m)) for node, (kind, c, m) in enumerate(keys)]
-    return MonitorProduct(product=product, start=0,
-                          live=tuple(n for kind, n in nodes if kind == "live"),
-                          frozen=tuple(n for kind, n in nodes if kind == "frozen"))
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,10 @@ def parse_chain_document(text: str) -> ChainDocument:
         labels[name] = sorted(raw_labels)
         if "priority" in entry and entry["priority"] is not None:
             has_priorities = True
-            priorities.append(require_int(entry["priority"], f"location {name}: priority"))
+            priority = require_int(entry["priority"], f"location {name}: priority")
+            if priority < 0:
+                raise InputFormatError(f"location {name} has negative priority {priority}")
+            priorities.append(priority)
         else:
             priorities.append(None)
         obligations.append(_parse_obligation(entry.get("obligation"), f"location {name}"))
@@ -394,6 +397,8 @@ def parse_automaton_document(text: str) -> PAutomaton:
         name = _identifier(entry, "state")
         if "priority" not in entry:
             raise InputFormatError(f"state {name}: missing priority")
+        if name in priority:
+            raise InputFormatError(f"duplicate state id {name}")
         states.append(name)
         priority[name] = require_int(entry["priority"], f"state {name}: priority")
     transitions = data.get("transitions", {})

@@ -16,10 +16,12 @@ one to every priority instead of storing a "complemented" flag, so a
 single objective representation serves both players.
 
 Derived games are assembled by :func:`game_from_rows`, on its own or
-through :func:`explore_game` (products, class games), where a
-probabilistic row's support becomes its successors, so edges and
+through :func:`explore_game` (the p-automaton product and the gamma
+games, which are explored with their frozen pairs already won or lost),
+where a probabilistic row's support becomes its successors, so edges and
 kernels agree by construction; or they settle configurations of an
-existing game as won or lost (:func:`settle`: gamma and reduced games).
+existing game as won or lost (:func:`settle`: settled, reduced and
+value-class games).
 """
 
 from __future__ import annotations
@@ -415,7 +417,8 @@ def require_int(raw: object, where: str) -> int:
 def embed_chain_as_game(mc: LabeledMarkovChain,
                         priority: Mapping[str, int] | Sequence[int],
                         obligations: Mapping[str, Obligation] | None = None) -> ObligationGame:
-    """View a Markov chain as a game in which every configuration is probabilistic."""
+    """View a Markov chain as a game in which every configuration is
+    probabilistic; priorities must be non-negative integers."""
     n = len(mc)
     if isinstance(priority, Mapping):
         missing = [name for name in mc.names if name not in priority]
@@ -426,6 +429,9 @@ def embed_chain_as_game(mc: LabeledMarkovChain,
         if len(priority) != n:
             raise InputFormatError("priority sequence length does not match the chain")
         prio = tuple(require_int(p, f"priority of {name}") for name, p in zip(mc.names, priority))
+    for name, p in zip(mc.names, prio):
+        if p < 0:
+            raise InputFormatError(f"location {name} has negative priority {p}")
     obl: list[Optional[Obligation]] = [None] * n
     for name, o in (obligations or {}).items():
         obl[mc.index(name)] = o

@@ -13,10 +13,14 @@ reaching further obligations.  A game dependency is good when
    (reach a chosen pair, or stay obligation-free and win the parity
    objective) meets v's own threshold.
 
-The monitor game settles v's monitor product (:func:`model.settle`):
-a frozen node is an absorbing win iff its pair is chosen, else a loss.
-Values then read off a single reduced game, the game with met
-obligations settled as absorbing wins and unmet ones as losses.
+The monitor game (``build_gamma_game``) tracks the minimal priority
+seen along a path *after leaving v*: v's own priority is excluded, the
+endpoint's included.  It is explored from v in one pass, and entering
+any obligation configuration u with minimum m freezes the pair (u, m)
+as an absorbing win iff the pair is chosen, else a loss.  See README,
+"Monitor semantics".  Values then read off a single reduced game, the
+game with met obligations settled as absorbing wins and unmet ones as
+losses.
 
 The label m of a pair exists only so that condition 2 can rule out odd
 cycles.  A row that picks, of each obligation it reaches, all of its
@@ -27,7 +31,7 @@ prefix-independent, so its value is one Bellman step at v over that
 game's values (``gamma_value``).  Each operation's ``SolveContext``
 solves that game once per set of won obligations, and the reduced game
 is the one whose won set is the met-set.  Only a row that depends on
-its labels goes through a monitor product and its own solve.
+its labels has its monitor game built and solved.
 
 ``find_best_dependency`` realizes the nondeterministic choice of a
 certificate deterministically, as the least fixpoint of a lifting of
@@ -48,11 +52,11 @@ from fractions import Fraction
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .chains import MonitorProduct, min_priority_monitor_product
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError)
-from .model import (ONE, ZERO, LabeledMarkovChain, Obligation, ObligationGame,
-                    Owner, dual_game, embed_chain_as_game, format_rational, settle)
+from .model import (ONE, ZERO, ConfigRow, LabeledMarkovChain, Obligation,
+                    ObligationGame, Owner, dual_game, embed_chain_as_game,
+                    explore_game, format_rational, settle)
 from .parity import Values, ValueVector, solve_values, value_vector
 
 Pair = tuple[int, int]  # (target obligation configuration, priority label)
@@ -166,31 +170,28 @@ class SolveContext:
     Every public entry point below makes a fresh context unless it is
     handed one, and drops it when it returns, so no memo outlives the
     operation that filled it.  ``pairs`` holds the reachable pairs by
-    start configuration, ``monitors`` the monitor products by start, and
-    ``gammas`` the monitor-game values of rows that depend on their
-    labels, by (start, pairs reached).  ``settled`` holds the values of
-    the game with every obligation settled, as won iff in W, which answer
-    every label-free row (``gamma_value``) and the reduced game; it is
-    keyed by W & ``entered``, the obligations that some edge enters (a
-    self-loop counts), since settling one that no edge enters changes no
-    other value.  The counters are deterministic: monitor products built,
+    start configuration, and ``gammas`` the monitor-game values of rows
+    that depend on their labels, by (start, pairs reached).  ``settled``
+    holds the values of the game with every obligation settled, as won
+    iff in W, which answer every label-free row (``gamma_value``) and the
+    reduced game; it is keyed by W & ``entered``, the obligations that
+    some edge enters (a self-loop counts), since settling one that no
+    edge enters changes no other value.  The counters are deterministic:
     lifting tests (counted against ``max_dependency_nodes``), lifts,
-    monitor-game solves (misses of ``gammas``), hits of ``gammas``,
-    settled games solved (misses of ``settled``) and monitor-game values
-    answered by a Bellman step over a settled game.
+    monitor games built and solved (misses of ``gammas``), hits of
+    ``gammas``, settled games solved (misses of ``settled``) and
+    monitor-game values answered by a Bellman step over a settled game.
     """
 
     COUNTERS: ClassVar[tuple[str, ...]] = (
-        "monitor_products", "lifting_tests", "lifts", "monitor_solves", "memo_hits",
-        "settled_solves", "settled_answers")
+        "lifting_tests", "lifts", "monitor_solves", "memo_hits", "settled_solves",
+        "settled_answers")
 
     game: ObligationGame
     pairs: dict[int, frozenset[Pair]] = field(default_factory=dict)
-    monitors: dict[int, MonitorProduct] = field(default_factory=dict)
     gammas: dict[tuple[int, frozenset[Pair]], Fraction] = field(default_factory=dict)
     settled: dict[frozenset[int], Values] = field(default_factory=dict)
     entered: frozenset[int] = field(init=False)
-    monitor_products: int = 0
     lifting_tests: int = 0
     lifts: int = 0
     monitor_solves: int = 0
@@ -211,13 +212,6 @@ class SolveContext:
         if context.game is not game:
             raise InputFormatError("the solve context belongs to another game")
         return context
-
-    def monitor(self, start: int) -> MonitorProduct:
-        monitor = self.monitors.get(start)
-        if monitor is None:
-            monitor = self.monitors[start] = min_priority_monitor_product(self.game, start)
-            self.monitor_products += 1
-        return monitor
 
     def settled_values(self, won: Iterable[int]) -> Values:
         """Values of the game with every obligation settled, won iff in ``won``,
@@ -247,9 +241,10 @@ def reachable_pairs(game: ObligationGame, start: int, *,
                     context: Optional[SolveContext] = None) -> frozenset[Pair]:
     """Frozen (obligation, minimal priority) pairs reachable from ``start``.
 
-    Equal to the frozen pairs of ``start``'s monitor product, found by a
-    search over (configuration, running minimum) pairs without building
-    the product; memoized per start in the operation's ``SolveContext``.
+    Equal to the frozen pairs of ``start``'s monitor game
+    (``build_gamma_game``), found by a search over (configuration, running
+    minimum) pairs without building the game; memoized per start in the
+    operation's ``SolveContext``.
     """
     ctx = SolveContext.of(game, context)
     pairs = ctx.pairs.get(start)
@@ -273,19 +268,46 @@ def reachable_pairs(game: ObligationGame, start: int, *,
     return pairs
 
 
-def build_gamma_game(game: ObligationGame, start: int, pairs: Iterable[Pair], *,
-                     context: Optional[SolveContext] = None) -> tuple[ObligationGame, int]:
+def build_gamma_game(game: ObligationGame, start: int,
+                     pairs: Iterable[Pair]) -> tuple[ObligationGame, int]:
     """The obligation-free monitor game checking ``start`` against ``pairs``.
 
-    The monitor product of ``start``, settled: a frozen node (u, m) is won
-    iff (u, m) is among the pairs, lost otherwise; plays that stay
-    obligation-free keep their original priorities.  Every node keeps its
-    name and index.  Size is at most |V|*(k+1) + 1.
+    Its nodes annotate the configurations reachable from ``start`` with
+    the minimal priority m seen since leaving it.  The root ``name@start``
+    is ``start`` with no minimum yet; a live node ``name@m`` is a
+    configuration without obligation, with its owner, priority and
+    moves; and the first visit to an obligation configuration u freezes
+    its pair as the absorbing node ``name!m``, won (priority 0) iff
+    (u, m) is among the pairs, lost (priority 1) otherwise.  The minimum
+    never rises along a path.  Nodes are numbered in discovery order
+    (:func:`model.explore_game`): the root is 0, and a node's successors
+    follow its configuration's sorted successors.  Size is at most
+    |V|*(k+1) + 1.
     """
+    if not game.succ[start]:
+        raise InternalInvariantError(
+            f"monitor start {game.names[start]} has no successor")
     chosen = frozenset(pairs)
-    monitor = SolveContext.of(game, context).monitor(start)
-    return settle(monitor.product, {node: (config, m) in chosen
-                                    for node, config, m in monitor.frozen}), monitor.start
+
+    def step(m_before: Optional[int], target: int) -> tuple[bool, int, int]:
+        m = game.priority[target] if m_before is None else min(m_before, game.priority[target])
+        return game.obligation[target] is not None, target, m
+
+    def expand(key: tuple[bool, int, Optional[int]]) -> ConfigRow:
+        frozen, config, m = key
+        name = game.names[config]
+        if frozen:
+            won = (config, m) in chosen
+            return f"{name}!{m}", Owner.PROBABILISTIC, 0 if won else 1, None, [(key, ONE)]
+        owner = game.owners[config]
+        if owner is Owner.PROBABILISTIC:
+            moves: list = [(step(m, t), p) for t, p in game.kernel_row(config)]
+        else:
+            moves = [step(m, t) for t in game.succ[config]]
+        label = "start" if m is None else m
+        return f"{name}@{label}", owner, game.priority[config], None, moves
+
+    return explore_game((False, start, None), expand)[0], 0
 
 
 def gamma_value(game: ObligationGame, start: int, pairs: Iterable[Pair], *,
@@ -300,7 +322,7 @@ def gamma_value(game: ObligationGame, start: int, pairs: Iterable[Pair], *,
     prefix-independent, and a frozen node (u, m) is the same absorbing
     sink as the settled u.  The root is never re-entered, so the value is
     one Bellman step at ``start`` over that game's values
-    (``SolveContext.settled_values``), and no monitor product is built.
+    (``SolveContext.settled_values``), and no monitor game is built.
     Only a row that depends on its labels, which condition 2 needs to
     rule out odd cycles, has its monitor game built and solved, memoized
     per (start, pairs reached) in the operation's ``SolveContext``.
@@ -317,7 +339,7 @@ def gamma_value(game: ObligationGame, start: int, pairs: Iterable[Pair], *,
     if value is not None:
         ctx.memo_hits += 1
         return value
-    gamma, root = build_gamma_game(game, start, chosen, context=ctx)
+    gamma, root = build_gamma_game(game, start, chosen)
     value = ctx.gammas[key] = solve_values(gamma)[root]
     ctx.monitor_solves += 1
     return value
@@ -473,13 +495,6 @@ def values_given_dependency(game: ObligationGame, dep: Dependency, *,
         stats=ctx.counters())
 
 
-def _pair_universe(game: ObligationGame, v: int, met: frozenset[int],
-                   context: Optional[SolveContext] = None) -> frozenset[Pair]:
-    """Reachable pairs of v that target met obligations, minus odd self-loops."""
-    return frozenset((u, m) for (u, m) in reachable_pairs(game, v, context=context)
-                     if u in met and not (u == v and m % 2 == 1))
-
-
 # ---------------------------------------------------------------------------
 # Searching for the best dependency
 
@@ -523,7 +538,9 @@ def find_best_dependency(game: ObligationGame, *,
 
     ctx = SolveContext(game)
     radix, width = len(obligations) + 1, (game.max_priority() + 1) // 2
-    universe = {v: sorted(_pair_universe(game, v, frozenset(obligations), ctx))
+    # an odd self-loop closes an odd cycle on its own, so it is never kept
+    universe = {v: sorted((u, m) for u, m in reachable_pairs(game, v, context=ctx)
+                          if not (u == v and m % 2 == 1))
                 for v in obligations}
     dependents: dict[int, set[int]] = {v: set() for v in obligations}
     for v in obligations:

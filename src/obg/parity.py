@@ -532,9 +532,7 @@ def _class_step(game: ObligationGame, x: Values, sigma: dict[int, int]) -> bool:
     """
     switched = False
     for r in sorted(set(x) - {ONE}):
-        cls = frozenset(v for v in range(len(game)) if x[v] == r)
-        class_game = _class_game(game, x, r, boundary_won=False)
-        _, choices = _as_strategy(class_game, cls.union(*(class_game.succ[v] for v in cls)))
+        _, _, choices = _win_class(_class_game(game, x, r, boundary_won=False), x, r)
         switched |= any(sigma[v] != u for v, u in choices.items())
         sigma.update(choices)
     return switched
@@ -649,6 +647,16 @@ def _class_game(game: ObligationGame, x: Sequence[Fraction | int],
     return settle(game, settled)
 
 
+def _win_class(class_game: ObligationGame, x: Sequence[Fraction | int],
+               r: Fraction | int) -> tuple[frozenset[int], frozenset[int], dict[int, int]]:
+    """The class C = {v : x[v] = r} of `class_game` (``_class_game``), and
+    Player 0's almost-sure region and moves in it, solved on C and its
+    settled successors."""
+    cls = frozenset(v for v in range(len(class_game)) if x[v] == r)
+    won, moves = _as_strategy(class_game, cls.union(*(class_game.succ[v] for v in cls)))
+    return cls, won, moves
+
+
 def _player_view(game: ObligationGame, values: Values,
                  player: int) -> tuple[ObligationGame, tuple[int, ...], list[int]]:
     """`game` with `player` as Player 0 (the dual game for Player 1); each
@@ -686,9 +694,7 @@ def _keeps_values(game: ObligationGame, rank: tuple[int, ...],
     """
     moves: dict[int, int] = {}
     for k in classes:
-        cls = frozenset(v for v in range(len(game)) if rank[v] == k)
-        class_game = _class_game(game, rank, k)
-        won, choices = _as_strategy(class_game, cls.union(*(class_game.succ[v] for v in cls)))
+        cls, won, choices = _win_class(_class_game(game, rank, k), rank, k)
         if not cls <= won:
             return None
         moves.update(choices)
@@ -743,9 +749,7 @@ def _canonical_strategy(game: ObligationGame, values: Values,
         u = same[0]
         if k in classes and len(same) > 1:
             if k not in held:
-                cls = frozenset(w for w in range(len(game)) if rank[w] == k)
-                won, moves = _as_strategy(class_games[k],
-                                          cls.union(*(class_games[k].succ[w] for w in cls)))
+                cls, won, moves = _win_class(class_games[k], rank, k)
                 agrees = cls <= won and all(moves.get(w) == choices[w]
                                             for w in cls if w in choices)
                 held[k] = moves if agrees else None

@@ -160,6 +160,8 @@ def validate_automaton(aut: PAutomaton) -> list[str]:
     for q in aut.states:
         if q not in aut.priority:
             problems.append(f"state {q} has no priority")
+        elif aut.priority[q] < 0:
+            problems.append(f"state {q} has negative priority {aut.priority[q]}")
         if q not in aut.default:
             problems.append(f"state {q} has no default transition")
     for q, table in aut.cases.items():

@@ -12,10 +12,10 @@ from fractions import Fraction as F
 import pytest
 
 from obg import (Dependency, ParityObjective, accepts, accepts_layered,
-                 dual_game, embed_chain_as_game, find_best_dependency,
-                 min_priority_monitor_product, monte_carlo_estimate,
-                 parity_measure, reach_probability, solve_chain_obligations,
-                 solve_parity, solve_parity_oracle, values_given_dependency,
+                 build_gamma_game, dual_game, embed_chain_as_game,
+                 find_best_dependency, monte_carlo_estimate, parity_measure,
+                 reach_probability, solve_chain_obligations, solve_parity,
+                 solve_parity_oracle, values_given_dependency,
                  verify_dependency)
 from obg.generators import random_chain, random_game, random_parity_game
 from obg.model import ONE, ZERO
@@ -129,10 +129,11 @@ def test_criterion_4_fig1_reproduction():
     _, report = find_best_dependency(game, witnesses=False)
     ok = report.value_of("s2") == ZERO and report.value_of("s3") == ONE
     ok &= report.pre_values[game.index("s3")] == HALF
-    # the recurrence pattern measured through the monitor product
-    product = min_priority_monitor_product(game, game.index("s3"))
-    hit = product.frozen_node(game.index("s3"), 2)
-    measure = reach_probability(product.product.kernel, {hit})[product.start]
+    # the recurrence pattern measured through the monitor game
+    s3 = game.index("s3")
+    gamma, root = build_gamma_game(game, s3, {(s3, 2)})
+    hit = gamma.names.index("s3!2")
+    measure = reach_probability(gamma.kernel, {hit})[root]
     ok &= measure == HALF
     report_line(4, ok, "fig1: s2=0, s3=1, recurrence pattern measures exactly 1/2")
 

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obg import (InputFormatError, ParityObjective, ReachObjective,
-                 bscc_decompose, embed_chain_as_game, make_chain,
-                 min_priority_monitor_product, monte_carlo_estimate,
-                 parity_measure, reach_probability)
+                 bscc_decompose, build_gamma_game, embed_chain_as_game,
+                 make_chain, monte_carlo_estimate, parity_measure,
+                 reach_probability)
 from obg.generators import random_chain
 from obg.io_formats import ChainDocument, parse_chain_document, serialize_chain_document
 from obg.linalg import solve_linear_system
 from obg.model import ONE, ZERO
+from obg.obligations import reachable_pairs
 
 from conftest import load_chain_doc, load_game
 
@@ -233,21 +234,30 @@ def test_parity_complement_identity(seed):
     assert all(a + b == ONE for a, b in zip(direct, flipped))
 
 
+def frozen_nodes(game, start):
+    """The frozen nodes of ``start``'s monitor game: the ones won when every
+    pair is chosen and lost when none is."""
+    won, _ = build_gamma_game(game, start, reachable_pairs(game, start))
+    lost, _ = build_gamma_game(game, start, ())
+    assert won.names == lost.names
+    return [v for v in range(len(won)) if won.priority[v] != lost.priority[v]]
+
+
 def test_monitor_product_fig6_pattern_measure():
     game = load_game("fig6.game.json")
-    product = min_priority_monitor_product(game, game.index("s1"))
-    hit = product.frozen_node(game.index("s1"), 0)
-    assert hit is not None
-    values = reach_probability(product.product.kernel, {hit})
-    assert values[product.start] == HALF
+    s1 = game.index("s1")
+    gamma, root = build_gamma_game(game, s1, {(s1, 0)})
+    hit = gamma.names.index("s1!0")
+    values = reach_probability(gamma.kernel, {hit})
+    assert values[root] == HALF
 
 
 def test_monitor_freezes_one_step_obligation():
     doc = load_chain_doc("fig4.chain.json")
     game = embed_chain_as_game(doc.chain, doc.priority_map(), doc.obligation_map())
-    product = min_priority_monitor_product(game, 0)
+    gamma, _ = build_gamma_game(game, 0, ())
     # the only frozen pair is the immediate return to s1 at its own priority
-    assert [(game.names[c], m) for _, c, m in product.frozen] == [("s1", 1)]
+    assert [gamma.names[v] for v in frozen_nodes(game, 0)] == ["s1!1"]
 
 
 @given(st.integers(0, 10**6))
@@ -255,31 +265,41 @@ def test_monitor_freezes_one_step_obligation():
 def test_monitor_minimum_is_non_increasing(seed):
     chain, priority = seeded_chain(seed)
     game = embed_chain_as_game(chain, priority)
-    product = min_priority_monitor_product(game, 0)
-    m_of = {node: m for node, _, m in product.live}
-    for node, _, m in product.live:
-        for t in product.product.succ[node]:
-            if t in m_of:
-                assert m_of[t] <= min(m, product.product.priority[t])
+    gamma, root = build_gamma_game(game, 0, ())
+    # with no obligation every node but the root is live, named by its minimum
+    m_of = {v: int(name.rpartition("@")[2]) for v, name in enumerate(gamma.names) if v != root}
+    for v in range(len(gamma)):
+        for t in gamma.succ[v]:
+            expected = gamma.priority[t] if v == root else min(m_of[v], gamma.priority[t])
+            assert m_of[t] == expected
 
 
 def test_monitor_product_numbering_is_pinned(fig6):
     # canonical certificates name monitor nodes by this numbering
-    mp = min_priority_monitor_product(fig6, fig6.index("s1"))
-    assert mp.start == 0
-    assert mp.product.names == (
+    s1 = fig6.index("s1")
+    gamma, root = build_gamma_game(fig6, s1, {(s1, 0), (s1, 2)})
+    assert root == 0
+    assert gamma.names == (
         "s1@start", "s2@2", "s3@0", "s4@0", "s5@0", "s6@0", "s1!0",
         "s4@2", "s5@2", "s6@1", "s1!1", "s1!2")
-    assert mp.live == ((1, 1, 2), (2, 2, 0), (3, 3, 0), (4, 4, 0), (5, 5, 0),
-                       (7, 3, 2), (8, 4, 2), (9, 5, 1))
-    assert mp.frozen == ((6, 0, 0), (10, 0, 1), (11, 0, 2))
+    assert frozen_nodes(fig6, s1) == [6, 10, 11]
+    for v, name in enumerate(gamma.names):
+        if v in (6, 10, 11):
+            # frozen pairs are absorbing, won exactly when chosen
+            assert gamma.kernel[v] == ((v, ONE),)
+            assert gamma.priority[v] == (0 if v != 10 else 1)
+        else:
+            config = fig6.index(name.partition("@")[0])
+            assert (gamma.owners[v], gamma.priority[v]) == (fig6.owners[config],
+                                                            fig6.priority[config])
+        assert gamma.obligation[v] is None
 
 
 def test_monitor_size_bound():
     game = load_game("fig6.game.json")
-    product = min_priority_monitor_product(game, 0)
+    gamma, _ = build_gamma_game(game, 0, ())
     k = game.max_priority()
-    assert len(product.product) <= len(game) * (k + 1) + len(product.frozen)
+    assert len(gamma) <= len(game) * (k + 1) + 1
 
 
 def test_monte_carlo_is_deterministic_given_seed():

@@ -192,8 +192,8 @@ def test_stats_flag_changes_only_stderr(monkeypatch):
     false_verdict = ["decide", fixture_path("fig2_losing_path.chain.json"),
                      "--config", "s1", "--cmp", ">", "--threshold", "1/2"]
     tripped = ["solve-game", fixture_path("fig5.game.json"), "--max-dependency-nodes", "1"]
-    counters = ["lifting_tests", "lifts", "memo_hits", "monitor_products", "monitor_solves",
-                "settled_answers", "settled_solves"]
+    counters = ["lifting_tests", "lifts", "memo_hits", "monitor_solves", "settled_answers",
+                "settled_solves"]
     for argv, exit_code in [(argv, 0) for argv in commands] + [(false_verdict, 1), (tripped, 3)]:
         code, out, err = run_main(argv)
         stats_code, stats_out, stats_err = run_main(argv + ["--stats"])
@@ -373,10 +373,13 @@ STRICT_TARGETS = {
 }
 NOT_AN_INTEGER = ["x", [1], 1.5, True, "2"]
 NOT_A_STRING = [["a"], 7, None]
+NEGATIVE = -1  # an integer, but no priority
 STRICT_CASES = [
     pytest.param(target, bad, id=f"{target}={json.dumps(bad)}")
     for target in STRICT_TARGETS
-    for bad in (NOT_A_STRING if target.endswith(" id") else NOT_AN_INTEGER)]
+    for bad in (NOT_A_STRING if target.endswith(" id") else
+                NOT_AN_INTEGER + [NEGATIVE] if target.endswith(" priority") else
+                NOT_AN_INTEGER)]
 
 
 @pytest.mark.parametrize("target,bad", STRICT_CASES)
@@ -391,8 +394,33 @@ def test_non_integer_priorities_and_non_string_ids_exit_2(tmp_path, capsys, targ
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(argv + [str(path)]) == 2
     err = capsys.readouterr().err
-    expected = 'needs a string "id"' if target.endswith(" id") else "must be an integer"
+    expected = ('needs a string "id"' if target.endswith(" id") else
+                "has negative priority -1" if bad == NEGATIVE else "must be an integer")
     assert err.startswith("error: ") and expected in err
+
+
+def test_negative_priorities_exit_2_beyond_the_parsers(tmp_path):
+    # STRICT_TARGETS runs solve-chain and paut uniform; these commands
+    # read priorities too
+    chain = json.loads(fixture_text("fig1.chain.json"))
+    chain["locations"][0]["priority"] = -1
+    automaton = json.loads(fixture_text("until.paut.json"))
+    for state in automaton["states"]:
+        state["priority"] = -3
+    chain_path, automaton_path = tmp_path / "c.chain.json", tmp_path / "a.paut.json"
+    chain_path.write_text(json.dumps(chain), encoding="utf-8")
+    automaton_path.write_text(json.dumps(automaton), encoding="utf-8")
+    name = chain["locations"][0]["id"]
+    cases = [
+        (["oracle", str(chain_path)], f"location {name} has negative priority -1"),
+        (["export-dot", str(chain_path)], f"location {name} has negative priority -1"),
+        (["paut", "accepts", str(automaton_path), fixture_path("two_location.chain.json")],
+         "state q1 has negative priority -3"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_main(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and message in err, argv
 
 
 # Each entry: fixture, CLI arguments before it, the path of the planted value,
@@ -419,6 +447,8 @@ MALFORMED = {
                              [["a"]], '"propositions" must be an array of strings'),
     "propositions=[5]": ("until.paut.json", ["paut", "uniform"], ("propositions",), [5],
                          '"propositions" must be an array of strings'),
+    'state id="q1" twice': ("until.paut.json", ["paut", "uniform"], ("states", 1, "id"), "q1",
+                            "duplicate state id q1"),
 }
 
 

@@ -116,11 +116,13 @@ def test_embed_requires_total_priority():
         embed_chain_as_game(chain, {"x": 1})
 
 
-@pytest.mark.parametrize("bad", [1.5, True, "1", F(1)], ids=repr)
+@pytest.mark.parametrize("bad", [1.5, True, "1", F(1), -1], ids=repr)
 def test_embed_rejects_non_integer_priorities(bad):
     chain = make_chain(["x", "y"], {"x": {"y": ONE}, "y": {"y": ONE}}, initial="x")
+    message = ("location x has negative priority -1" if bad == -1 else
+               "priority of x must be an integer")
     for priority in ({"x": bad, "y": 0}, [bad, 0]):
-        with pytest.raises(InputFormatError, match="priority of x must be an integer"):
+        with pytest.raises(InputFormatError, match=message):
             embed_chain_as_game(chain, priority)
 
 
@@ -205,12 +207,12 @@ def test_equal_games_share_one_hash_and_repeat_their_counters():
     assert first is not second and first == second
     assert hash(first) == hash(second) == hash(tuple(
         getattr(first, f.name) for f in fields(ObligationGame)))
-    # one search: s1's monitor product, one lifting test that solves its
+    # one search: one lifting test that builds and solves s1's
     # monitor game (the row leaves out s1's odd self-loop, so it depends
     # on the labels), condition 3 answered from the memo, and the reduced
     # game solved once with s1 settled; a repeat, on the same game or an
     # equal one, starts from an empty memo
-    expected = (("monitor_products", 1), ("lifting_tests", 1), ("lifts", 1),
+    expected = (("lifting_tests", 1), ("lifts", 1),
                 ("monitor_solves", 1), ("memo_hits", 1),
                 ("settled_solves", 1), ("settled_answers", 0))
     for game in (first, first, second):

@@ -11,21 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obg import (BudgetExceededError, Dependency, InputFormatError,
-                 Obligation, build_gamma_game, build_product_game,
-                 check_condition1, check_condition2, check_condition3,
-                 decide_value, dual_game,
+                 InternalInvariantError, Obligation, build_gamma_game,
+                 build_product_game, check_condition1, check_condition2,
+                 check_condition3, decide_value, dual_game,
                  embed_chain_as_game, find_best_dependency, gamma_value,
                  make_chain, solve_chain_obligations, solve_parity,
                  value_of_prefix, values_given_dependency, verify_dependency)
 import obg
 from obg.budgets import DEFAULT_BUDGETS, Budgets
-from obg.chains import MonitorProduct, min_priority_monitor_product
 from obg.generators import (random_automaton, random_game,
                             random_labeled_chain)
 from obg.graphs import tarjan_scc
-from obg.model import ONE, ZERO, ObligationGame, Owner, game_from_rows
-from obg.obligations import (SolveContext, _obligation_at, _pair_universe,
-                             find_odd_cycle, reachable_pairs)
+from obg.model import (ONE, ZERO, ObligationGame, Owner, explore_game,
+                       game_from_rows, settle)
+from obg.obligations import (SolveContext, _obligation_at, find_odd_cycle,
+                             reachable_pairs)
 from obg.parity import solve_values
 import obg.parity as parity_mod
 
@@ -188,14 +188,69 @@ def test_gamma_game_size_bound(fig6):
     assert len(gamma) <= len(fig6) * (fig6.max_priority() + 1) + 1
 
 
+def test_gamma_game_needs_a_start_with_a_successor(fig6):
+    s1 = fig6.index("s1")
+    dead = replace(fig6, succ=tuple(() if v == s1 else succ for v, succ in enumerate(fig6.succ)))
+    with pytest.raises(InternalInvariantError, match="monitor start s1 has no successor"):
+        build_gamma_game(dead, s1, ())
+
+
+def reference_monitor_product(game, start):
+    """The min-priority monitor product of ``start``, unsettled, with its
+    frozen nodes as (node, configuration, minimum) triples: the product of
+    the game with the running minimum of the priorities since ``start``,
+    in which the first visit to an obligation configuration is an
+    absorbing node that keeps the configuration's priority."""
+    def step(m_before, target):
+        m = game.priority[target] if m_before is None else min(m_before, game.priority[target])
+        return ("frozen" if game.obligation[target] is not None else "live", target, m)
+
+    def expand(key):
+        kind, config, m = key
+        name, prio = game.names[config], game.priority[config]
+        if kind == "frozen":
+            return f"{name}!{m}", Owner.PROBABILISTIC, prio, None, [(key, ONE)]
+        owner = game.owners[config]
+        if owner is Owner.PROBABILISTIC:
+            moves = [(step(m, t), p) for t, p in game.kernel_row(config)]
+        else:
+            moves = [step(m, t) for t in game.succ[config]]
+        return f"{name}@{'start' if kind == 'root' else m}", owner, prio, None, moves
+
+    product, keys = explore_game(("root", start, None), expand)
+    return product, [(node, c, m) for node, (kind, c, m) in enumerate(keys) if kind == "frozen"]
+
+
+def reference_gamma_game(game, start, pairs):
+    """Reference gamma game: the monitor product of ``start``, then settled,
+    each frozen node as won iff its pair is among ``pairs``."""
+    product, frozen = reference_monitor_product(game, start)
+    return settle(product, {node: (config, m) in pairs for node, config, m in frozen}), 0
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_gamma_game_equals_the_settled_monitor_product(seed, dual):
+    rng = random.Random(seed)
+    game = random_game(rng, max_configs=8, max_obligations=3)
+    if dual:
+        game = dual_game(game)
+    for v in game.obligation_indices():
+        pairs = sorted(reachable_pairs(game, v))
+        for n in range(len(pairs) + 1):
+            gamma, root = build_gamma_game(game, v, pairs[:n])
+            reference, reference_root = reference_gamma_game(game, v, set(pairs[:n]))
+            assert root == reference_root
+            assert all(getattr(gamma, f.name) == getattr(reference, f.name)
+                       for f in fields(ObligationGame))
+
+
 def gamma_with_sinks(game, start, pairs):
     """Reference gamma game: every frozen monitor node moves to an absorbing
     WIN sink (priority 0) if its pair is chosen, else to a LOSE sink."""
-    monitor = min_priority_monitor_product(game, start)
-    base = monitor.product
+    base, frozen = reference_monitor_product(game, start)
     win, lose = len(base), len(base) + 1
-    redirect = {node: win if (config, m) in pairs else lose
-                for node, config, m in monitor.frozen}
+    redirect = {node: win if (config, m) in pairs else lose for node, config, m in frozen}
     rows = []
     for v, row in enumerate(base.kernel):
         if row is None:
@@ -205,7 +260,7 @@ def gamma_with_sinks(game, start, pairs):
         rows.append((base.names[v], base.owners[v], base.priority[v], None, moves))
     rows.append(("WIN", Owner.PROBABILISTIC, 0, None, [(win, ONE)]))
     rows.append(("LOSE", Owner.PROBABILISTIC, 1, None, [(lose, ONE)]))
-    return game_from_rows(rows), monitor.start
+    return game_from_rows(rows), 0
 
 
 def test_gamma_value_matches_the_sink_construction():
@@ -362,6 +417,12 @@ def _rows_of(met, edge_set):
     return {v: frozenset(pairs) for v, pairs in grouped.items()}
 
 
+def pair_universe(game, v, met, context=None):
+    """Reachable pairs of v that target met obligations, minus odd self-loops."""
+    return frozenset((u, m) for (u, m) in reachable_pairs(game, v, context=context)
+                     if u in met and not (u == v and m % 2 == 1))
+
+
 def _feasible_assignment(game, met, context, budget=20000):
     """Lexicographically first passing maximal certificate for a met-set.
 
@@ -375,7 +436,7 @@ def _feasible_assignment(game, met, context, budget=20000):
     universe = tuple(sorted(
         (v, u, i)
         for v in met
-        for (u, i) in _pair_universe(game, v, met, context)))
+        for (u, i) in pair_universe(game, v, met, context)))
     order = sorted(met)
     terminals = []
     explored = 0
@@ -426,7 +487,7 @@ def reference_dependency(game):
     while changed:
         changed = False
         for v in sorted(candidates):
-            bound = gamma_value(game, v, _pair_universe(game, v, frozenset(candidates), context),
+            bound = gamma_value(game, v, pair_universe(game, v, frozenset(candidates), context),
                                 context=context)
             if not _obligation_at(game, v).holds(bound):
                 candidates.discard(v)
@@ -505,10 +566,10 @@ def test_decide_value_counters_are_exact_and_repeat():
     # labels, so its monitor game is solved once and then read from the memo
     game = random_game(random.Random(242))
     expected = {
-        "primal": {"monitor_products": 1, "lifting_tests": 6, "lifts": 4,
+        "primal": {"lifting_tests": 6, "lifts": 4,
                    "monitor_solves": 1, "memo_hits": 1,
                    "settled_solves": 5, "settled_answers": 7},
-        "dual": {"monitor_products": 1, "lifting_tests": 18, "lifts": 10,
+        "dual": {"lifting_tests": 18, "lifts": 10,
                  "monitor_solves": 1, "memo_hits": 0,
                  "settled_solves": 4, "settled_answers": 20},
     }
@@ -536,7 +597,7 @@ def test_reports_hold_counters_and_no_memo_table():
     assert live_contexts() == before
     assert [name for name, _ in report.stats] == list(SolveContext.COUNTERS)
     assert all(type(name) is str and type(count) is int for name, count in report.stats)
-    assert not any(isinstance(getattr(report, f.name), (SolveContext, dict, MonitorProduct))
+    assert not any(isinstance(getattr(report, f.name), (SolveContext, dict))
                    for f in fields(report))
 
 
@@ -552,8 +613,7 @@ def test_a_context_serves_one_game(fig6):
     assert gamma_value(fig6, s1, {(s1, 0), (s1, 1), (s1, 2)}, context=context) == ONE
     assert gamma_value(fig6, s1, {(s1, 0), (s1, 1), (s1, 2), (s1, 4)}, context=context) == ONE
     assert gamma_value(fig6, s1, (), context=context) == ZERO
-    assert context.counters() == (("monitor_products", 1), ("lifting_tests", 0),
-                                  ("lifts", 0), ("monitor_solves", 1), ("memo_hits", 1),
+    assert context.counters() == (("lifting_tests", 0), ("lifts", 0), ("monitor_solves", 1), ("memo_hits", 1),
                                   ("settled_solves", 2), ("settled_answers", 3))
     with pytest.raises(InputFormatError):
         gamma_value(dual_game(fig6), s1, (), context=context)
@@ -703,7 +763,7 @@ def reduced_cases(game, dep):
     for v in game.obligation_indices():
         row = dep.get(v)
         if row is None:
-            row = _pair_universe(game, v, met)
+            row = pair_universe(game, v, met)
         assert report.pre_values[v] == monitor_value(game, v, row)
         if v in met and v not in entered:
             cases.add("no incoming edge")
@@ -743,8 +803,14 @@ def test_the_equality_samples_cover_every_case():
 def test_reachable_pairs_are_the_monitor_products_frozen_pairs(seed, dual):
     game, _ = equality_sample(seed, dual)
     for v in range(len(game)):
-        frozen = min_priority_monitor_product(game, v).frozen
-        assert reachable_pairs(game, v) == frozenset((c, m) for _, c, m in frozen)
+        # a frozen node is won when every pair is chosen and lost when none is
+        won, _ = build_gamma_game(game, v, reachable_pairs(game, v))
+        lost, _ = build_gamma_game(game, v, ())
+        frozen = {won.names[node] for node in range(len(won))
+                  if won.priority[node] != lost.priority[node]}
+        assert frozen == {f"{game.names[u]}!{m}" for u, m in reachable_pairs(game, v)}
+        assert all(won.kernel[node] == ((node, ONE),) for node in range(len(won))
+                   if won.names[node] in frozen)
 
 
 # ---------------------------------------------------------------------------
