@@ -5,8 +5,8 @@ chains via a product-game construction.
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .chains import (BsccDecomposition, McEstimate, ParityObjective,
-                     ReachObjective, bscc_decompose, monte_carlo_estimate,
-                     parity_measure, reach_probability)
+                     bscc_decompose, monte_carlo_estimate, parity_measure,
+                     reach_probability)
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError, ObgError, OracleInfeasibleError)
 from .model import (LabeledMarkovChain, Obligation, ObligationGame, Owner,
@@ -22,8 +22,7 @@ from .obligations import (Dependency, GoodnessReport, ObligationValueReport,
 from .parity import (ThresholdDecision, ValueVector, decide_parity_threshold,
                      induce_chain, solve_parity, solve_parity_oracle)
 from .pautomata import (And, AutomatonGraph, Formula, Or, PAutomaton,
-                        StateAtom, Term, accepts, accepts_layered,
-                        build_automaton_graph, build_product_game, closure,
-                        is_uniform)
+                        StateAtom, Term, accepts, build_automaton_graph,
+                        build_product_game, closure, is_uniform)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import linalg
 from .errors import InputFormatError, InternalInvariantError
@@ -140,12 +140,6 @@ def parity_measure(rows: Rows, priority: Sequence[int]) -> list[Fraction]:
 
 
 @dataclass(frozen=True)
-class ReachObjective:
-    target: frozenset[int]
-    avoid: frozenset[int] = frozenset()
-
-
-@dataclass(frozen=True)
 class ParityObjective:
     priority: tuple[int, ...]
 
@@ -176,18 +170,17 @@ def wilson_interval(successes: int, samples: int, z: float = Z99) -> tuple[float
 
 
 def monte_carlo_estimate(mc: LabeledMarkovChain,
-                         objective: Union[ReachObjective, ParityObjective],
+                         objective: ParityObjective,
                          samples: int,
                          horizon: int = 10000,
                          seed: int = 0,
                          start: Optional[int] = None) -> McEstimate:
     """Seeded simulation estimate with a 99% Wilson interval.
 
-    Parity runs are classified as soon as the walk enters a bottom SCC
-    (entering one decides the parity class almost surely), and reach
-    runs as soon as the walk enters a location from which the target
-    cannot be reached; runs still undecided at the horizon count as
-    failures.  Never used inside solver decisions.
+    A run is classified as soon as the walk enters a bottom SCC
+    (entering one decides the parity class almost surely); runs still
+    undecided at the horizon count as failures.  Never used inside
+    solver decisions.
     """
     if samples < 1:
         raise InputFormatError("samples must be >= 1")
@@ -202,39 +195,21 @@ def monte_carlo_estimate(mc: LabeledMarkovChain,
             thresholds.append((acc, t))
         cumulative.append(thresholds)
 
-    if isinstance(objective, ParityObjective):
-        dec = bscc_decompose(mc.succ, objective.priority)
-        if dec.accepting is None:
-            raise InternalInvariantError("bottom SCCs were decomposed without priorities")
-        verdict_of: dict[int, bool] = {}
-        for comp, acc in zip(dec.components, dec.accepting):
-            for v in comp:
-                verdict_of[v] = acc
+    dec = bscc_decompose(mc.succ, objective.priority)
+    if dec.accepting is None:
+        raise InternalInvariantError("bottom SCCs were decomposed without priorities")
+    verdict_of: dict[int, bool] = {}
+    for comp, acc in zip(dec.components, dec.accepting):
+        for v in comp:
+            verdict_of[v] = acc
 
-        def run() -> bool:
-            v = start_loc
-            for _ in range(horizon):
-                if v in verdict_of:
-                    return verdict_of[v]
-                v = _sample(cumulative[v], rng)
-            return False
-    else:
-        # A walk that can no longer reach the target has failed: without
-        # this it would run on to the horizon.
-        target = objective.target
-        avoid = frozenset(range(len(mc))) - _can_reach(mc.succ, target, objective.avoid)
-
-        def run() -> bool:
-            v = start_loc
-            for _ in range(horizon):
-                if v in target:
-                    return True
-                if v in avoid:
-                    return False
-                if not cumulative[v]:
-                    return False
-                v = _sample(cumulative[v], rng)
-            return False
+    def run() -> bool:
+        v = start_loc
+        for _ in range(horizon):
+            if v in verdict_of:
+                return verdict_of[v]
+            v = _sample(cumulative[v], rng)
+        return False
 
     successes = sum(1 for _ in range(samples) if run())
     low, high = wilson_interval(successes, samples)

@@ -4,7 +4,9 @@ All documents carry ``"format": "obg-v1"`` and a ``"kind"`` key.
 Rationals are strings like ``"1/2"``, ``"0"``, ``"1"``; bare JSON
 numbers are rejected to prevent silent float ingestion.  Serialization
 is canonical (fixed key order, two-space indent, trailing newline), so
-serialize - parse - serialize is byte-identical.
+serialize - parse - serialize is byte-identical.  No JSON object may
+name a key twice, no transition table a letter twice, and automaton
+formulas nest at most ``MAX_FORMULA_DEPTH`` deep.
 
 A document may carry a free-form ``"provenance"`` object describing
 which of its numbers are externally stated and which were derived; it
@@ -27,6 +29,10 @@ from .pautomata import (FF, TT, And, Formula, Or, PAutomaton, StateAtom,
                         Term, validate_automaton)
 
 FORMAT = "obg-v1"
+
+# Formulas are hashed, printed and serialized recursively, so their depth
+# is bounded well inside the interpreter's recursion limit.
+MAX_FORMULA_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -57,11 +63,22 @@ def _identifier(entry: Any, what: str) -> str:
     return entry["id"]
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for key in keys if keys.count(key) > 1)
+        raise InputFormatError(f"JSON object names the key {twice!r} twice")
+    return out
+
+
 def loads(text: str) -> dict:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise InputFormatError("JSON nested too deeply")
     if not isinstance(data, dict):
         raise InputFormatError("top-level JSON value must be an object")
     if data.get("format") != FORMAT:
@@ -325,7 +342,9 @@ def serialize_dependency_document(dep: Dependency, game: ObligationGame) -> str:
 # p-automata
 
 
-def _parse_formula(raw: Any, where: str) -> Formula:
+def _parse_formula(raw: Any, where: str, depth: int = 1) -> Formula:
+    if depth > MAX_FORMULA_DEPTH:
+        raise InputFormatError(f"{where}: formula nested deeper than {MAX_FORMULA_DEPTH}")
     if not (isinstance(raw, list) and raw and isinstance(raw[0], str)):
         raise InputFormatError(f"{where}: formula nodes are non-empty arrays headed by a tag")
     tag = raw[0]
@@ -346,8 +365,8 @@ def _parse_formula(raw: Any, where: str) -> Formula:
     if tag in ("and", "or"):
         if len(raw) != 3:
             raise InputFormatError(f"{where}: [\"{tag}\", left, right]")
-        left = _parse_formula(raw[1], where)
-        right = _parse_formula(raw[2], where)
+        left = _parse_formula(raw[1], where, depth + 1)
+        right = _parse_formula(raw[2], where, depth + 1)
         return And(left, right) if tag == "and" else Or(left, right)
     raise InputFormatError(f"{where}: unknown formula tag {tag!r}")
 
@@ -419,6 +438,9 @@ def parse_automaton_document(text: str) -> PAutomaton:
         cases[q] = {}
         for key, raw in table_cases.items():
             letter = _parse_letter(key, propositions, f"transition of {q}")
+            if letter in cases[q]:
+                raise InputFormatError(f"transition of {q} names the letter "
+                                       f"{_letter_key(letter)!r} twice")
             cases[q][letter] = _parse_formula(raw, f"transition of {q} under {key!r}")
     initial = _parse_formula(data.get("initial"), "initial condition")
     aut = PAutomaton(propositions=tuple(propositions), states=tuple(states),

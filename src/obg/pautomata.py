@@ -12,12 +12,6 @@ obligation.  The chain is accepted iff the product value at the pair
 odd priority; all configurations that are not state or term pairs take
 the automaton's maximal priority, which never matters because formula
 decomposition is acyclic.
-
-Besides the general solve, ``accepts_layered`` solves the product one
-strongly connected class of the automaton graph at a time (bottom-up,
-exits replaced by exactly-weighted win/lose lotteries); it must agree
-with the general solver and serves as a cross-check for uniform
-automata.
 """
 
 from __future__ import annotations
@@ -29,9 +23,9 @@ from typing import Iterable, Mapping, Optional, Union
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import InputFormatError
 from .graphs import condensation_topo_order
-from .model import (ONE, ZERO, ConfigRow, LabeledMarkovChain, Obligation,
+from .model import (ONE, ConfigRow, LabeledMarkovChain, Obligation,
                     ObligationGame, Owner, explore_game, format_rational,
-                    game_from_rows, is_probability)
+                    is_probability)
 from .obligations import ObligationValueReport, find_best_dependency
 
 # --------------------------------------------------------------------------
@@ -273,20 +267,10 @@ def build_product_game(aut: PAutomaton, mc: LabeledMarkovChain
     """The obligation game deciding acceptance of ``mc`` by ``aut``.
 
     Configurations are (location, formula) pairs reachable from the
-    initial pair.  Returns the game and the index of the initial pair.
-    """
-    game, root, _ = _build_product(aut, mc)
-    return game, root
-
-
-def _build_product(aut: PAutomaton, mc: LabeledMarkovChain
-                   ) -> tuple[ObligationGame, int, list[tuple[int, Formula]]]:
-    """The product game, its root index and the (location, formula) pair
-    of every configuration.
-
-    Configurations are numbered in discovery order
-    (:func:`model.explore_game`): the initial pair is 0, a disjunction
-    or conjunction discovers its left operand before its right, and a
+    initial pair, named ``location|formula``.  Returns the game and the
+    index of the initial pair, which is 0: configurations are numbered
+    in discovery order (:func:`model.explore_game`), a disjunction or
+    conjunction discovers its left operand before its right, and a
     state or term pair discovers its successors in the order of the
     chain's sorted row.
     """
@@ -311,8 +295,8 @@ def _build_product(aut: PAutomaton, mc: LabeledMarkovChain
         return (name, Owner.PROBABILISTIC, aut.priority[formula.state], obligation,
                 [((t, next_formula), p) for t, p in mc.succ[loc]])
 
-    game, assignment = explore_game((mc.initial, aut.initial), expand)
-    return game, 0, assignment
+    game, _ = explore_game((mc.initial, aut.initial), expand)
+    return game, 0
 
 
 @dataclass(frozen=True)
@@ -326,95 +310,9 @@ class AcceptanceResult:
 def accepts(aut: PAutomaton, mc: LabeledMarkovChain, *,
             budgets: Budgets = DEFAULT_BUDGETS,
             witnesses: bool = False) -> AcceptanceResult:
-    """Acceptance via the product obligation game (general algorithm)."""
+    """Acceptance via the product obligation game: ``mc`` is accepted
+    iff the initial pair's value is one."""
     product, root = build_product_game(aut, mc)
     _, report = find_best_dependency(product, budgets=budgets, witnesses=witnesses)
     return AcceptanceResult(accepted=report.values[root] == ONE, root=root,
                             product=product, report=report)
-
-
-# --------------------------------------------------------------------------
-# Layered solve over the automaton-graph condensation
-
-
-def accepts_layered(aut: PAutomaton, mc: LabeledMarkovChain, *,
-                    budgets: Budgets = DEFAULT_BUDGETS
-                    ) -> tuple[bool, dict[int, Fraction]]:
-    """Solve the product one automaton class at a time, bottom-up.
-
-    Exits into already-solved classes are replaced by win/lose lotteries
-    weighted with the solved value, which is exact because a play
-    descending into a lower class never returns and its continuation
-    value is precisely the reduced-game value there.  Returns the
-    verdict and the per-product-configuration values for cross-checks.
-    """
-    product, root, assignment = _build_product(aut, mc)
-
-    # Classes of the automaton graph, extended with the initial condition's
-    # decomposition (which can sit outside the transition closure).
-    graph = build_automaton_graph(aut)
-    nodes = set(graph.nodes) | closure(aut.initial)
-    edges: set[tuple[Formula, Formula]] = set(graph.all_edges())
-    for f in closure(aut.initial):
-        if isinstance(f, (And, Or)):
-            for child in (f.left, f.right):
-                edges.add((f, child))
-        elif isinstance(f, Term):
-            edges.add((f, StateAtom(f.state)))
-    ordered = sorted(nodes, key=format_formula)
-    index = {f: i for i, f in enumerate(ordered)}
-    adj: list[list[int]] = [[] for _ in ordered]
-    for a, b in sorted((index[a], index[b]) for a, b in edges):
-        adj[a].append(b)
-    comps, comp_of = condensation_topo_order(len(ordered), lambda v: adj[v])
-
-    class_of_config = {node: comp_of[index[formula]]
-                       for node, (_, formula) in enumerate(assignment)}
-    values: dict[int, Fraction] = {}
-    for ci in range(len(comps) - 1, -1, -1):
-        members = sorted(v for v, c in class_of_config.items() if c == ci)
-        if not members:
-            continue
-        values.update(_solve_class(product, members, values, budgets))
-    return values[root] == ONE, values
-
-
-def _solve_class(product: ObligationGame, members: list[int],
-                 solved: Mapping[int, Fraction], budgets: Budgets
-                 ) -> dict[int, Fraction]:
-    """Solve the subgame induced by one class with weighted exit sinks.
-
-    The class's members keep their order and are followed by WIN, LOSE
-    and one exit lottery per distinct value strictly between 0 and 1.
-    """
-    inside = {v: i for i, v in enumerate(members)}
-    win, lose = len(members), len(members) + 1
-    lotteries: dict[Fraction, int] = {}
-
-    def exit_to(value: Fraction) -> int:
-        # An owned exit to a solved configuration becomes a lottery node.
-        if value == ONE:
-            return win
-        if value == ZERO:
-            return lose
-        return lotteries.setdefault(value, len(members) + 2 + len(lotteries))
-
-    rows: list[ConfigRow] = []
-    for v in members:
-        if product.owners[v] is Owner.PROBABILISTIC:
-            moves: list = []
-            for t, p in product.kernel_row(v):
-                if t in inside:
-                    moves.append((inside[t], p))
-                else:
-                    moves += [(win, p * solved[t]), (lose, p * (ONE - solved[t]))]
-        else:
-            moves = [inside[t] if t in inside else exit_to(solved[t]) for t in product.succ[v]]
-        rows.append((product.names[v], product.owners[v], product.priority[v],
-                     product.obligation[v], moves))
-    rows.append(("WIN", Owner.PROBABILISTIC, 0, None, [(win, ONE)]))
-    rows.append(("LOSE", Owner.PROBABILISTIC, 1, None, [(lose, ONE)]))
-    rows += [(f"exit~{format_rational(value)}", Owner.PROBABILISTIC, 1, None,
-              [(win, value), (lose, ONE - value)]) for value in lotteries]
-    _, report = find_best_dependency(game_from_rows(rows), budgets=budgets, witnesses=False)
-    return {v: report.values[inside[v]] for v in members}

@@ -11,16 +11,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from obg import (Dependency, ParityObjective, accepts, accepts_layered,
-                 build_gamma_game, dual_game, embed_chain_as_game,
-                 find_best_dependency, monte_carlo_estimate, parity_measure,
-                 reach_probability, solve_chain_obligations, solve_parity,
-                 solve_parity_oracle, values_given_dependency,
-                 verify_dependency)
+from obg import (Dependency, ParityObjective, accepts, build_gamma_game,
+                 dual_game, embed_chain_as_game, find_best_dependency,
+                 monte_carlo_estimate, parity_measure, reach_probability,
+                 solve_chain_obligations, solve_parity, solve_parity_oracle,
+                 values_given_dependency, verify_dependency)
 from obg.generators import random_chain, random_game, random_parity_game
 from obg.model import ONE, ZERO
 
-from conftest import load_automaton, load_chain_doc, load_game
+from conftest import accepts_layered, load_automaton, load_chain_doc, load_game
 
 HALF = F(1, 2)
 

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obg import (InputFormatError, ParityObjective, ReachObjective,
-                 bscc_decompose, build_gamma_game, embed_chain_as_game,
-                 make_chain, monte_carlo_estimate, parity_measure,
-                 reach_probability)
+from obg import (InputFormatError, ParityObjective, bscc_decompose,
+                 build_gamma_game, embed_chain_as_game, make_chain,
+                 monte_carlo_estimate, parity_measure, reach_probability)
 from obg.generators import random_chain
 from obg.io_formats import ChainDocument, parse_chain_document, serialize_chain_document
 from obg.linalg import solve_linear_system
@@ -306,7 +305,8 @@ def test_monte_carlo_is_deterministic_given_seed():
     chain = make_chain(["s", "t", "u"],
                        {"s": {"t": F(1, 3), "u": F(2, 3)},
                         "t": {"t": ONE}, "u": {"u": ONE}}, initial="s")
-    obj = ReachObjective(frozenset({1}))
+    obj = ParityObjective((0, 0, 1))
+    assert parity_measure(chain.succ, obj.priority)[chain.initial] == F(1, 3)
     a = monte_carlo_estimate(chain, obj, samples=2000, seed=5)
     b = monte_carlo_estimate(chain, obj, samples=2000, seed=5)
     assert a == b

@@ -449,6 +449,12 @@ MALFORMED = {
                          '"propositions" must be an array of strings'),
     'state id="q1" twice': ("until.paut.json", ["paut", "uniform"], ("states", 1, "id"), "q1",
                             "duplicate state id q1"),
+    'letter "a,b" twice': ("until.paut.json", ["paut", "uniform"], ("transitions", "q1", "cases"),
+                           {"a,b": ["tt"], "b,a": ["ff"]},
+                           "transition of q1 names the letter 'a,b' twice"),
+    'letter "b,a" twice': ("until.paut.json", ["paut", "uniform"], ("transitions", "q1", "cases"),
+                           {"b,a": ["ff"], "a,b": ["tt"]},
+                           "transition of q1 names the letter 'a,b' twice"),
 }
 
 
@@ -466,6 +472,53 @@ def test_malformed_labels_and_formula_states_exit_2(tmp_path, capsys, case):
     assert main(argv + [str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err
+
+
+def test_a_key_named_twice_exits_2(tmp_path):
+    # json.loads lets the later row win; with it s would be worth 1
+    text = ('{"format": "obg-v1", "kind": "chain", "initial": "s", "locations": '
+            '[{"id": "s", "priority": 0}, {"id": "t", "priority": 0}], '
+            '"transitions": {"s": {"s": "1"}, "t": {"t": "1"}, "s": {"t": "1"}}}')
+    path = tmp_path / "twice.chain.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_main(["solve-chain", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: JSON object names the key 's' twice\n"
+    with pytest.raises(InputFormatError, match="names the key 'id' twice"):
+        io_formats.loads('{"format": "obg-v1", "a": [{"id": "x", "id": "y"}]}')
+
+
+def test_json_nested_too_deeply_exits_2(tmp_path):
+    path = tmp_path / "deep.game.json"
+    path.write_text('{"format": "obg-v1", "kind": "game", "configurations": '
+                    + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+    code, out, err = run_main(["solve-game", str(path)])
+    assert (code, out, err) == (2, "", "error: JSON nested too deeply\n")
+
+
+def nested_default(depth: int) -> dict:
+    """until.paut.json with q1's default an or-chain of ``depth`` formulas."""
+    data = json.loads(fixture_text("until.paut.json"))
+    formula = ["state", "q1"]
+    for _ in range(depth - 1):
+        formula = ["or", formula, ["ff"]]
+    data["transitions"]["q1"]["default"] = formula
+    return data
+
+
+def test_formula_depth_is_bounded(tmp_path):
+    limit = io_formats.MAX_FORMULA_DEPTH
+    chain = fixture_path("two_location.chain.json")
+    for depth, expected in ((limit, 0), (limit + 1, 2)):
+        path = tmp_path / f"depth{depth}.paut.json"
+        path.write_text(json.dumps(nested_default(depth)), encoding="utf-8")
+        for argv in (["paut", "accepts", str(path), chain], ["paut", "uniform", str(path)],
+                     ["export-dot", str(path), chain]):
+            code, out, err = run_main(argv)
+            assert code == expected, (argv, err)
+            if expected == 2:
+                assert out == ""
+                assert err == f"error: default of q1: formula nested deeper than {limit}\n"
 
 
 def test_unexpected_exception_exits_4_not_1(monkeypatch, capsys):

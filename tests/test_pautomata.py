@@ -1,23 +1,18 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obg import (InputFormatError, accepts, accepts_layered,
-                 build_automaton_graph, build_product_game, closure,
-                 dual_game, find_best_dependency, linalg, make_chain,
-                 reach_probability)
+from obg import (InputFormatError, accepts, build_automaton_graph,
+                 build_product_game, closure, dual_game, find_best_dependency,
+                 linalg, make_chain, reach_probability)
 from obg.model import ONE, ZERO, Owner
 from obg.budgets import Budgets
 from obg.pautomata import (FF, TT, And, Or, PAutomaton, StateAtom, Term,
                            closure_of_set, is_uniform, validate_automaton)
 
-from conftest import load_automaton, load_chain_doc
+from conftest import accepts_layered, load_automaton, load_chain_doc
 
 HALF = F(1, 2)
 
@@ -263,37 +258,6 @@ def test_validate_automaton_rejects_state_atom_in_initial():
     aut = PAutomaton(propositions=(), states=("q",), priority={"q": 0},
                      cases={}, default={"q": TT}, initial=StateAtom("q"))
     assert any("bare state atoms" in p for p in validate_automaton(aut))
-
-
-# Prints the members of every class accepts_layered solves, in solve order,
-# for the second automaton/chain pair drawn from random.Random(2).
-CLASS_ORDER = """
-import random
-from obg import pautomata
-from obg.generators import random_automaton, random_labeled_chain
-rng = random.Random(2)
-for _ in range(2):
-    aut, chain = random_automaton(rng, max_states=3), random_labeled_chain(rng, max_locations=4)
-solve_class = pautomata._solve_class
-def record(product, members, solved, budgets):
-    print([product.names[v] for v in members])
-    return solve_class(product, members, solved, budgets)
-pautomata._solve_class = record
-pautomata.accepts_layered(aut, chain)
-"""
-
-
-def test_layered_class_order_does_not_depend_on_hash_seed():
-    src = Path(__file__).resolve().parents[1] / "src"
-    orders = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
-        done = subprocess.run([sys.executable, "-c", CLASS_ORDER],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        orders.append(done.stdout)
-    assert orders[0].count("\n") > 2
-    assert orders[0] == orders[1]
 
 
 @given(st.integers(0, 10**6))
