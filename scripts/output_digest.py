@@ -9,6 +9,9 @@ The families, each drawn from ``random.Random(seed)``:
   pre-values, met-set, reduced game and its solution with witnesses,
   but not the work counters) of random obligation games and of their
   duals;
+* ``decide_value``: the verdict, value and both reports (primal and
+  dual, without the work counters) of random obligation games, each
+  with a drawn configuration, comparator and threshold;
 * ``accepts``: the verdict, root and report of random p-automaton and
   labelled chain pairs;
 * ``readme``: the stdout and exit code of every ``obg`` command listed
@@ -36,13 +39,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from obg import (Budgets, ObgError, accepts, dual_game,  # noqa: E402
-                 find_best_dependency, solve_parity)
-from obg.generators import (random_automaton, random_game,  # noqa: E402
-                            random_labeled_chain, random_parity_game)
+from obg import (Budgets, ObgError, accepts, decide_value,  # noqa: E402
+                 dual_game, find_best_dependency, solve_parity)
+from obg.generators import (THRESHOLDS, random_automaton,  # noqa: E402
+                            random_game, random_labeled_chain,
+                            random_parity_game)
 
 PARITY_GAMES = 900
 OBLIGATION_GAMES = 300
+DECISIONS = 600
 AUTOMATON_PAIRS = 300
 # products and dual games need more than the default budgets
 WIDE = Budgets(max_obligations=64, max_priority=9)
@@ -56,10 +61,19 @@ def outcome(solve, *args, **kwargs) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def dependency_report(game) -> tuple:
-    dep, report = find_best_dependency(game, budgets=WIDE)
+def report_fields(dep, report) -> tuple:
     return (dep, report.values, report.pre_values, sorted(report.fulfilled),
             report.reduced_game, report.reduced_solution)
+
+
+def dependency_report(game) -> tuple:
+    return report_fields(*find_best_dependency(game, budgets=WIDE))
+
+
+def decision(game, config, cmp, threshold) -> tuple:
+    result = decide_value(game, config, cmp, threshold)
+    return (result.verdict, result.value, report_fields(*result.primal),
+            report_fields(*result.dual))
 
 
 def acceptance(aut, mc) -> tuple:
@@ -85,6 +99,15 @@ def dependency_lines(seed: int):
             yield outcome(dependency_report, side)
 
 
+def decision_lines(seed: int):
+    rng = random.Random(seed)
+    for _ in range(DECISIONS):
+        game = random_game(rng, max_configs=30, max_obligations=4, max_priority=3)
+        config = rng.randrange(len(game))
+        yield outcome(decision, game, config, rng.choice([">=", ">"]),
+                      rng.choice(THRESHOLDS))
+
+
 def acceptance_lines(seed: int):
     rng = random.Random(seed)
     for _ in range(AUTOMATON_PAIRS):
@@ -104,7 +127,8 @@ def readme_lines(seed: int):
 
 
 FAMILIES = {"solve_parity": parity_lines, "find_best_dependency": dependency_lines,
-            "accepts": acceptance_lines, "readme": readme_lines}
+            "decide_value": decision_lines, "accepts": acceptance_lines,
+            "readme": readme_lines}
 
 
 def main() -> int:

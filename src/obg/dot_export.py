@@ -20,19 +20,21 @@ _SHAPES = {
 }
 
 
-def _quote(text: str) -> str:
-    # labels may carry DOT escapes like \n, so backslashes pass through
-    return '"' + text.replace('"', '\\"') + '"'
+def _quote(*parts: str) -> str:
+    """One quoted DOT string of `parts`, on separate lines of a label
+    (DOT's \\n escape); backslashes and quotes in the parts are escaped."""
+    return '"' + "\\n".join(p.replace("\\", "\\\\").replace('"', '\\"')
+                            for p in parts) + '"'
 
 
 def export_game_dot(game: ObligationGame) -> str:
     lines = ["digraph G {", "  rankdir=LR;"]
     for i, name in enumerate(game.names):
-        label = f"{name}\\nc={game.priority[i]}"
+        parts = [name, f"c={game.priority[i]}"]
         ob = game.obligation[i]
         if ob is not None:
-            label += f"\\n{ob.pretty()}"
-        lines.append(f"  {_quote(name)} [shape={_SHAPES[game.owners[i]]}, label={_quote(label)}];")
+            parts.append(ob.pretty())
+        lines.append(f"  {_quote(name)} [shape={_SHAPES[game.owners[i]]}, label={_quote(*parts)}];")
     for i in range(len(game)):
         if game.owners[i] is Owner.PROBABILISTIC:
             for t, p in game.kernel_row(i):
@@ -58,8 +60,7 @@ def export_chain_dot(mc: LabeledMarkovChain,
         if obligations is not None and obligations[i] is not None:
             parts.append(obligations[i].pretty())
         shape = "doublecircle" if i == mc.initial else "circle"
-        label = "\\n".join(parts)
-        lines.append(f"  {_quote(name)} [shape={shape}, label={_quote(label)}];")
+        lines.append(f"  {_quote(name)} [shape={shape}, label={_quote(*parts)}];")
     for i, name in enumerate(mc.names):
         for t, p in mc.succ[i]:
             lines.append(f"  {_quote(name)} -> {_quote(mc.names[t])}"

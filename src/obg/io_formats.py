@@ -79,6 +79,8 @@ def loads(text: str) -> dict:
         raise InputFormatError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except RecursionError:
         raise InputFormatError("JSON nested too deeply")
+    except ValueError:  # an integer literal over the interpreter's digit limit
+        raise InputFormatError("JSON integer literal too long")
     if not isinstance(data, dict):
         raise InputFormatError("top-level JSON value must be an object")
     if data.get("format") != FORMAT:

@@ -26,6 +26,7 @@ value-class games).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -53,16 +54,24 @@ OPPONENT = {Owner.PLAYER0: Owner.PLAYER1,
             Owner.PROBABILISTIC: Owner.PROBABILISTIC}
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational from its canonical string form ``a/b`` or ``a``.
+    """Parse a rational from its string form ``a/b`` or ``a``.
 
     Only strings are accepted; bare JSON numbers are rejected upstream
-    to prevent silent float ingestion.
+    to prevent silent float ingestion.  The string must be an optional
+    sign and ASCII digits, with an optional ``/`` and digits: decimal
+    and exponent forms, which ``Fraction`` would also take, can ask for
+    numbers too large to parse or print in reasonable time.
     """
     if not isinstance(text, str):
         raise InputFormatError(f"rational must be a string like '1/2', got {text!r}")
+    if not _RATIONAL.fullmatch(text):
+        raise InputFormatError(f"not a rational: {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"not a rational: {text!r}") from exc
 

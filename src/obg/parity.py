@@ -24,16 +24,24 @@ run:
   determinacy, value 1 and value 0 are exactly the two players'
   almost-sure regions, and ``_as_strategy`` returns each with a
   positional strategy, and both strategies must pass a graph-only
-  certificate (``_certify_as``).  When the regions cover the game, the
-  values are 0/1 without a best response.  Otherwise the rest is solved
-  on a compact residual game (``_residual``), in which each region is
-  one absorbing sink of its value: by the chain / MDP analysis when one
-  player owns none of it, else by strategy improvement on it and on
-  its dual; once the two bounds sum to one at every configuration,
-  they provably *are* the values.  Each side climbs by value switches,
-  and where the bounds leave a gap it also switches to win a value
-  class almost surely (``_class_step``), which makes the improvement
-  complete: a strategy that admits neither step is optimal.
+  certificate (``_certify_as``).  Each region is sought only outside a
+  dominion of the other side (Zielonka, TCS 1998): Player 0 wins almost
+  surely nowhere in Player 1's positive attractor of the absorbing
+  configurations of odd priority, nor Player 1 anywhere in Player 0's
+  positive attractor of Player 0's region, since from there the play
+  reaches the opponent's sure win with positive probability.  The
+  complement of a positive attractor is closed for chance and the
+  opponent, and an almost-sure strategy never leaves its region, so the
+  region found there is the whole game's.  When the regions cover the
+  game, the values are 0/1 without a best response.  Otherwise the rest
+  is solved on a compact residual game (``_residual``), in which each
+  region is one absorbing sink of its value: by the chain / MDP analysis
+  when one player owns none of it, else by strategy improvement on it
+  and on its dual; once the two bounds sum to one at every
+  configuration, they provably *are* the values.  Each side climbs by
+  value switches, and where the bounds leave a gap it also switches to
+  win a value class almost surely (``_class_step``), which makes the
+  improvement complete: a strategy that admits neither step is optimal.
 
 The qualitative analysis rests on one trap fixpoint, ``_sure_safe``, a
 worklist over predecessor lists and successor counters built per call,
@@ -604,6 +612,13 @@ def solve_values(game: ObligationGame) -> Values:
     for 0 and 1, or two-sided bounds that sum to one (determinacy).  The
     two players' almost-sure regions are computed first and both
     strategies must pass ``_certify_as``; the values are 1 and 0 there.
+    Player 0's region is sought outside Player 1's positive attractor of
+    the lost sinks (absorbing, odd priority), and Player 1's outside
+    Player 0's positive attractor of Player 0's region: by Zielonka's
+    dominion argument neither player wins almost surely where the other
+    reaches its sure win with positive probability, and each such
+    complement is closed for chance and the opponent, so the recursion
+    finds the same regions on it as on the whole game.
     The rest is solved on the residual game (``_residual``), where the
     regions are two absorbing sinks of values 1 and 0: by the special
     cases where they apply, else by ``_two_sided``.  A failed check
@@ -616,8 +631,9 @@ def solve_values(game: ObligationGame) -> Values:
     n = len(game)
     full = frozenset(range(n))
     dual = dual_game(game)
-    won, sigma = _as_strategy(game, full)
-    lost, pi = _as_strategy(dual, full)
+    sinks = [v for v in full if game.succ[v] == (v,) and game.priority[v] % 2]
+    won, sigma = _as_strategy(game, full - _pos_attr(game, Owner.PLAYER1, sinks, full))
+    lost, pi = _as_strategy(dual, full - _pos_attr(game, Owner.PLAYER0, won, full))
     _certify_as(game, won, sigma)
     _certify_as(dual, lost, pi)
     if won | lost == full:

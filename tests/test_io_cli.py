@@ -11,13 +11,15 @@ import shlex
 import subprocess
 import sys
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from obg import Budgets, InputFormatError, io_formats
 from obg.cli import _budgets, build_parser, main
-from obg.dot_export import export_chain_dot
+from obg.dot_export import export_chain_dot, export_game_dot
+from obg.model import Owner, make_chain, make_game
 
 from conftest import FIXTURES, fixture_text, load_chain_doc, load_game
 
@@ -341,6 +343,31 @@ def test_cli_export_dot_product(capsys):
     assert "digraph" in out and "diamond" in out
 
 
+DOT_IDS = ["odd\\", 'say "hi"', "a\\b", 'q\\"', "\\n"]
+
+
+def quoted_strings(line: str) -> list[str]:
+    """The DOT quoted strings of `line`, unescaped, with the \\n escape
+    as a line break; fails if a string is left open."""
+    assert re.fullmatch(r'[^"]*("([^"\\]|\\.)*"[^"]*)*', line), line
+    return [re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], text)
+            for text in re.findall(r'"((?:[^"\\]|\\.)*)"', line)]
+
+
+def test_dot_ids_with_backslashes_and_quotes_round_trip():
+    ring = list(zip(DOT_IDS, DOT_IDS[1:] + DOT_IDS[:1]))
+    game = make_game([(name, Owner.PLAYER0, 1, None) for name in DOT_IDS], ring, {})
+    chain = make_chain(DOT_IDS, {a: {b: Fraction(1)} for a, b in ring},
+                       {name: [name] for name in DOT_IDS})
+    for dot, label in ((export_game_dot(game), "{0}\nc=1"),
+                       (export_chain_dot(chain), "{0}\n{{{0}}}")):
+        lines = dot.splitlines()[2:-1]
+        nodes = [quoted_strings(line) for line in lines if "->" not in line]
+        assert nodes == [[name, label.format(name)] for name in DOT_IDS]
+        edges = [quoted_strings(line) for line in lines if "->" in line]
+        assert [tuple(strings[:2]) for strings in edges] == ring
+
+
 def test_export_chain_dot_marks_obligations():
     doc = load_chain_doc("fig1.chain.json")
     dot = export_chain_dot(doc.chain, doc.priority, doc.obligations)
@@ -494,6 +521,30 @@ def test_json_nested_too_deeply_exits_2(tmp_path):
                     + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
     code, out, err = run_main(["solve-game", str(path)])
     assert (code, out, err) == (2, "", "error: JSON nested too deeply\n")
+
+
+def test_json_integer_too_long_exits_2(tmp_path):
+    # one digit over the interpreter's limit on integer literals
+    data = json.loads(fixture_text("fig6.game.json"))
+    data["configurations"][1]["priority"] = 0
+    path = tmp_path / "long.game.json"
+    path.write_text(json.dumps(data).replace('"priority": 0', '"priority": ' + "2" * 5001),
+                    encoding="utf-8")
+    code, out, err = run_main(["solve-game", str(path)])
+    assert (code, out, err) == (2, "", "error: JSON integer literal too long\n")
+
+
+def test_exponent_thresholds_exit_2(tmp_path):
+    # Fraction parses them, but printing 1e-5000 exceeds the digit limit
+    code, out, err = run_main(["decide", fixture_path("fig6.game.json"), "--config", "s1",
+                               "--cmp", ">=", "--threshold", "1e-5000"])
+    assert (code, out, err) == (2, "", "error: not a rational: '1e-5000'\n")
+    data = json.loads(fixture_text("fig6.game.json"))
+    data["configurations"][0]["obligation"]["threshold"] = "1e-5000"
+    path = tmp_path / "exponent.game.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_main(["solve-game", str(path), "--format", "table"])
+    assert (code, out, err) == (2, "", "error: not a rational: '1e-5000'\n")
 
 
 def nested_default(depth: int) -> dict:

@@ -18,6 +18,15 @@ def test_parse_and_format_rational_round_trip():
     for text in ["0", "1", "1/2", "3/4", "-2/7"]:
         assert format_rational(parse_rational(text)) == text
     assert format_rational(parse_rational("2/4")) == "1/2"
+    assert parse_rational("+006/08") == F(3, 4)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e-5", "1e-30000000", "5E2", " 1/2", "1/2 ",
+                                  "1/2\n", "1/-2", "1/2/3", "", "+", "/2", "1_000", "0x1",
+                                  "\u0661", "inf", "nan", "1/0", "1" * 5000])
+def test_parse_rational_takes_only_a_sign_digits_and_a_slash(text):
+    with pytest.raises(InputFormatError):
+        parse_rational(text)
 
 
 def test_bare_numbers_are_rejected():

@@ -14,9 +14,10 @@ from obg import (InputFormatError, InternalInvariantError, OracleInfeasibleError
                  induce_chain, make_game, parity_measure, reach_probability,
                  solve_parity, solve_parity_oracle)
 from obg.budgets import Budgets
-from obg.generators import random_parity_game
+from obg.generators import random_game, random_parity_game
 from obg.graphs import tarjan_scc
-from obg.model import ONE, ZERO, ObligationGame, Owner, game_from_rows, restrict_choice
+from obg.model import (ONE, ZERO, ObligationGame, Owner, game_from_rows, restrict_choice,
+                       settle)
 from obg.obligations import build_gamma_game
 import obg.parity as parity_mod
 
@@ -512,6 +513,96 @@ def test_dual_region_keeps_what_the_attractor_step_leaves_out():
     assert won == {1, 6}
     check_almost_sure_strategy(game, won, sigma0)
     assert solve_parity(game) == solve_parity_oracle(game)
+
+
+def pruned_arenas(game, won):
+    """The arenas of the two almost-sure recursions in ``solve_values``:
+    Player 0's outside Player 1's positive attractor of the absorbing
+    configurations of odd priority, Player 1's outside Player 0's
+    positive attractor of Player 0's region `won`."""
+    full = frozenset(range(len(game)))
+    sinks = {v for v in full if game.succ[v] == (v,) and game.priority[v] % 2}
+    return (full - naive_pos_attr(game, Owner.PLAYER1, sinks, full),
+            full - naive_pos_attr(game, Owner.PLAYER0, won, full))
+
+
+@given(st.integers(0, 10**6), st.integers(0, 255), st.integers(0, 255))
+@settings(max_examples=150)
+def test_pruned_arenas_keep_both_almost_sure_regions(seed, settled_mask, won_mask):
+    primal = random_parity_game(random.Random(seed), max_configs=8)
+    settled = settle(primal, {v: bool(won_mask >> v & 1) for v in range(len(primal))
+                              if settled_mask >> v & 1})
+    full = frozenset(range(len(primal)))
+    for game in (primal, dual_game(primal), settled, dual_game(settled)):
+        values = solve_parity_oracle(game, witnesses=False).values
+        dual = dual_game(game)
+        won = parity_mod._as_strategy(game, full)[0]
+        lost = parity_mod._as_strategy(dual, full)[0]
+        assert won == {v for v in full if values[v] == ONE}
+        assert lost == {v for v in full if values[v] == ZERO}
+        arena0, arena1 = pruned_arenas(game, won)
+        assert won <= arena0 and lost <= arena1
+        pruned_won, sigma0 = parity_mod._as_strategy(game, arena0)
+        pruned_lost, sigma1 = parity_mod._as_strategy(dual, arena1)
+        assert (pruned_won, pruned_lost) == (won, lost)
+        check_almost_sure_strategy(game, won, sigma0)
+        check_almost_sure_strategy(dual, lost, sigma1)
+
+
+def top_level_arenas(monkeypatch):
+    """The arena of each ``_as_strategy`` call that is not made by another."""
+    as_strategy, arenas, depth = parity_mod._as_strategy, [], [0]
+
+    def recording(game, sub):
+        if not depth[0]:
+            arenas.append(sub)
+        depth[0] += 1
+        try:
+            return as_strategy(game, sub)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(parity_mod, "_as_strategy", recording)
+    return arenas
+
+
+def test_settled_game_solves_its_regions_on_pinned_arenas(monkeypatch):
+    # random_game(Random(19), max_configs=12) with its two obligations
+    # settled, the first as won: Player 1 reaches the lost sinks from one
+    # configuration, and Player 0 reaches its region from three.
+    game = random_game(random.Random(19), max_configs=12, max_obligations=3)
+    game = settle(game, {u: i % 2 == 0 for i, u in enumerate(game.obligation_indices())})
+    arenas = top_level_arenas(monkeypatch)
+    values = parity_mod.solve_values(game)
+    assert values == solve_parity_oracle(game, witnesses=False).values
+    assert len(game) == 12 and [len(arena) for arena in arenas] == [11, 9]
+    assert (values.count(ONE), values.count(ZERO)) == (2, 9)
+    won = frozenset(v for v in range(12) if values[v] == ONE)
+    assert tuple(arenas) == pruned_arenas(game, won)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 255))
+@settings(max_examples=100)
+def test_every_two_player_solve_certifies_both_regions(seed, settled_mask):
+    certify, certified = parity_mod._certify_as, []
+
+    def counting(game, region, choices):
+        certified.append(region)
+        certify(game, region, choices)
+
+    primal = random_parity_game(random.Random(seed), max_configs=10)
+    settled = settle(primal, {v: v % 2 == 0 for v in range(len(primal))
+                              if settled_mask >> v & 1})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parity_mod, "_certify_as", counting)
+        for game in (primal, dual_game(primal), settled):
+            certified.clear()
+            values = parity_mod.solve_values(game)
+            two_player = parity_mod._closed_form(game) is None
+            assert len(certified) == (2 if two_player else 0)
+            if two_player:
+                assert certified == [frozenset(v for v, x in enumerate(values) if x == r)
+                                     for r in (ONE, ZERO)]
 
 
 def test_certificate_rejects_strategies_that_do_not_win_almost_surely():
