@@ -14,6 +14,9 @@ The families, each drawn from ``random.Random(seed)``:
   with a drawn configuration, comparator and threshold;
 * ``accepts``: the verdict, root and report of random p-automaton and
   labelled chain pairs;
+* ``chains``: the parity measure, a reachability probability with a
+  drawn target and avoid set, the bottom-SCC decomposition with
+  priorities, and a seeded Monte-Carlo estimate of random chains;
 * ``readme``: the stdout and exit code of every ``obg`` command listed
   in README.md, each run in a fresh interpreter with PYTHONHASHSEED=0.
 
@@ -39,16 +42,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from obg import (Budgets, ObgError, accepts, decide_value,  # noqa: E402
-                 dual_game, find_best_dependency, solve_parity)
+from obg import (Budgets, ObgError, ParityObjective, accepts,  # noqa: E402
+                 bscc_decompose, decide_value, dual_game, find_best_dependency,
+                 monte_carlo_estimate, parity_measure, reach_probability,
+                 solve_parity)
 from obg.generators import (THRESHOLDS, random_automaton,  # noqa: E402
-                            random_game, random_labeled_chain,
+                            random_chain, random_game, random_labeled_chain,
                             random_parity_game)
 
 PARITY_GAMES = 900
 OBLIGATION_GAMES = 300
 DECISIONS = 600
 AUTOMATON_PAIRS = 300
+CHAINS = 300
 # products and dual games need more than the default budgets
 WIDE = Budgets(max_obligations=64, max_priority=9)
 
@@ -115,6 +121,24 @@ def acceptance_lines(seed: int):
         yield outcome(acceptance, aut, random_labeled_chain(rng, max_locations=4))
 
 
+def chain_results(chain, priority, target, avoid, seed) -> tuple:
+    rows = chain.succ
+    return (parity_measure(rows, priority), reach_probability(rows, target, avoid),
+            bscc_decompose(rows, priority),
+            monte_carlo_estimate(chain, ParityObjective(tuple(priority)),
+                                 samples=200, seed=seed))
+
+
+def chain_lines(seed: int):
+    rng = random.Random(seed)
+    for i in range(CHAINS):
+        chain, priority = random_chain(rng)
+        drawn = rng.sample(range(len(chain.succ)), rng.randint(1, len(chain.succ)))
+        cut = rng.randint(1, len(drawn))
+        yield outcome(chain_results, chain, priority, frozenset(drawn[:cut]),
+                      frozenset(drawn[cut:]), i)
+
+
 def readme_lines(seed: int):
     """Every README command; they take no seed."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
@@ -128,7 +152,7 @@ def readme_lines(seed: int):
 
 FAMILIES = {"solve_parity": parity_lines, "find_best_dependency": dependency_lines,
             "decide_value": decision_lines, "accepts": acceptance_lines,
-            "readme": readme_lines}
+            "chains": chain_lines, "readme": readme_lines}
 
 
 def main() -> int:

@@ -5,11 +5,11 @@ probability)`` pairs: ``mc.succ`` of a chain, ``game.kernel`` of a fully
 probabilistic game, or the rows of ``parity.induce_chain``.
 Reachability probabilities are computed by identifying the sure-zero
 set graph-theoretically (backward reachability) and solving the
-remaining linear system exactly, passed to
-:func:`linalg.solve_linear_system` as sparse rows of integer ``(column,
-coefficient)`` pairs, each row and its right-hand side scaled by the
-lcm of the row's probability denominators; the zero-set elimination
-guarantees a nonsingular system.  The parity measure is the
+remaining linear system exactly.  This module scales each row and its
+right-hand side to integers, by the lcm of the row's probability
+denominators, and passes the system to
+:func:`linalg.solve_linear_system`, which takes integer rows only; the
+zero-set elimination guarantees a nonsingular system.  The parity measure is the
 probability of reaching the union of accepting bottom SCCs (minimal
 priority even).
 
@@ -23,10 +23,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
-from .errors import InputFormatError, InternalInvariantError
+from .errors import InputFormatError
 from .graphs import reachable_from, tarjan_scc
 from .model import ONE, ZERO, LabeledMarkovChain
 
@@ -34,23 +34,24 @@ Rows = Sequence[Sequence[tuple[int, Fraction]]]
 
 # z for a two-sided 99% Wilson interval
 Z99 = 2.5758293035489004
+# Steps after which a Monte-Carlo run still outside a bottom SCC fails.
+HORIZON = 10000
 
 
 @dataclass(frozen=True)
 class BsccDecomposition:
-    """Bottom SCCs, the transient remainder, and (optionally) acceptance.
+    """Bottom SCCs, the transient remainder, and acceptance.
 
     ``accepting[i]`` is True iff the minimal priority inside
-    ``components[i]`` is even; it is None when no priority map was given.
+    ``components[i]`` is even.
     """
 
     components: tuple[frozenset[int], ...]
     transient: frozenset[int]
-    accepting: Optional[tuple[bool, ...]]
+    accepting: tuple[bool, ...]
 
 
-def bscc_decompose(rows: Rows,
-                   priority: Optional[Sequence[int]] = None) -> BsccDecomposition:
+def bscc_decompose(rows: Rows, priority: Sequence[int]) -> BsccDecomposition:
     """Exact SCC condensation; a component is bottom iff no edge leaves it."""
     n = len(rows)
     comps = tarjan_scc(n, lambda v: (t for t, _ in rows[v]))
@@ -63,9 +64,7 @@ def bscc_decompose(rows: Rows,
     bsccs.sort(key=min)
     covered = frozenset().union(*bsccs) if bsccs else frozenset()
     transient = frozenset(range(n)) - covered
-    accepting = None
-    if priority is not None:
-        accepting = tuple(min(priority[v] for v in comp) % 2 == 0 for comp in bsccs)
+    accepting = tuple(min(priority[v] for v in comp) % 2 == 0 for comp in bsccs)
     return BsccDecomposition(tuple(bsccs), transient, accepting)
 
 
@@ -126,8 +125,6 @@ def parity_measure(rows: Rows, priority: Sequence[int]) -> list[Fraction]:
     if len(priority) != len(rows):
         raise InputFormatError("priority map must cover every location")
     dec = bscc_decompose(rows, priority)
-    if dec.accepting is None:
-        raise InternalInvariantError("bottom SCCs were decomposed without priorities")
     target: set[int] = set()
     for comp, acc in zip(dec.components, dec.accepting):
         if acc:
@@ -172,20 +169,18 @@ def wilson_interval(successes: int, samples: int, z: float = Z99) -> tuple[float
 def monte_carlo_estimate(mc: LabeledMarkovChain,
                          objective: ParityObjective,
                          samples: int,
-                         horizon: int = 10000,
-                         seed: int = 0,
-                         start: Optional[int] = None) -> McEstimate:
-    """Seeded simulation estimate with a 99% Wilson interval.
+                         seed: int = 0) -> McEstimate:
+    """Seeded simulation estimate, from the initial location, with a 99%
+    Wilson interval.
 
     A run is classified as soon as the walk enters a bottom SCC
     (entering one decides the parity class almost surely); runs still
-    undecided at the horizon count as failures.  Never used inside
-    solver decisions.
+    undecided after ``HORIZON`` steps count as failures.  Never used
+    inside solver decisions.
     """
     if samples < 1:
         raise InputFormatError("samples must be >= 1")
     rng = random.Random(seed)
-    start_loc = mc.initial if start is None else start
     cumulative = []
     for row in mc.succ:
         acc = 0.0
@@ -196,16 +191,14 @@ def monte_carlo_estimate(mc: LabeledMarkovChain,
         cumulative.append(thresholds)
 
     dec = bscc_decompose(mc.succ, objective.priority)
-    if dec.accepting is None:
-        raise InternalInvariantError("bottom SCCs were decomposed without priorities")
     verdict_of: dict[int, bool] = {}
     for comp, acc in zip(dec.components, dec.accepting):
         for v in comp:
             verdict_of[v] = acc
 
     def run() -> bool:
-        v = start_loc
-        for _ in range(horizon):
+        v = mc.initial
+        for _ in range(HORIZON):
             if v in verdict_of:
                 return verdict_of[v]
             v = _sample(cumulative[v], rng)

@@ -265,8 +265,7 @@ def cmd_oracle(args) -> int:
             raise InputFormatError("chain file carries no priorities")
         exact = parity_measure(doc.chain.succ, priority)
         estimate = monte_carlo_estimate(doc.chain, ParityObjective(tuple(priority)),
-                                        samples=args.samples, seed=args.seed,
-                                        start=doc.chain.initial)
+                                        samples=args.samples, seed=args.seed)
         out = {
             "exact": format_rational(exact[doc.chain.initial]),
             "estimate": estimate.estimate,

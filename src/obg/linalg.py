@@ -1,10 +1,11 @@
 """Exact linear-system solving over rationals, on integer rows.
 
 Sparse Gaussian elimination with back substitution.  A system is given
-as rows of ``(column, coefficient)`` pairs, the shape of
-``chains.Rows``, with ``int`` or ``Fraction`` coefficients and
-right-hand sides.  Each row and its right-hand side are scaled by the
-lcm of their denominators, so elimination runs on integers.
+as rows of ``(column, coefficient)`` pairs with ``int`` coefficients and
+right-hand sides; the caller scales each rational row to integers
+(``chains.reach_probability`` multiplies a row by the lcm of its
+probability denominators).  Each row is divided by the gcd of its
+entries and right-hand side, and elimination runs on integers.
 
 Columns are eliminated in order.  The pivot for a column is the
 remaining row holding it with the fewest nonzeros, the lowest row index
@@ -29,13 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import InternalInvariantError
-
-Coefficient = Union[int, Fraction]
-
-EXACT = frozenset({int, Fraction})
 
 
 class SingularMatrixError(InternalInvariantError):
@@ -47,27 +44,21 @@ class SingularMatrixError(InternalInvariantError):
     """
 
 
-def _integer_row(row: Sequence[tuple[int, Coefficient]], value: Coefficient,
+def _integer_row(row: Sequence[tuple[int, int]], value: int,
                  r: int, n: int) -> tuple[dict[int, int], int]:
-    """Row r as primitive integers: scaled by the lcm of its denominators,
-    then divided by the gcd of its entries and right-hand side."""
+    """Row r as primitive integers: divided by the gcd of its entries and
+    right-hand side."""
     entries = dict(row)
     if len(entries) != len(row):
         raise InternalInvariantError(f"row {r} repeats a column")
-    kinds = set(map(type, entries.values()))
-    kinds.add(type(value))
-    if not kinds <= EXACT:
-        bad = next(v for v in (*entries.values(), value) if type(v) not in EXACT)
-        raise InternalInvariantError(
-            f"row {r} holds a {type(bad).__name__}; only int and Fraction are exact")
+    for v in (*entries.values(), value):
+        if type(v) is not int:
+            raise InternalInvariantError(
+                f"row {r} holds a {type(v).__name__}; rows must be scaled to int")
     if 0 in entries.values():
         raise InternalInvariantError(f"row {r} has a zero coefficient")
     if entries and (min(entries) < 0 or max(entries) >= n):
         raise InternalInvariantError(f"row {r} has a column outside 0..{n - 1}")
-    if Fraction in kinds:
-        scale = lcm(value.denominator, *(v.denominator for v in entries.values()))
-        entries = {c: v.numerator * (scale // v.denominator) for c, v in entries.items()}
-        value = value.numerator * (scale // value.denominator)
     g = gcd(value, *entries.values())
     if g > 1:
         entries = {c: v // g for c, v in entries.items()}
@@ -75,13 +66,13 @@ def _integer_row(row: Sequence[tuple[int, Coefficient]], value: Coefficient,
     return entries, value
 
 
-def solve_linear_system(rows: Sequence[Sequence[tuple[int, Coefficient]]],
-                        rhs: Sequence[Coefficient]) -> list[Fraction]:
+def solve_linear_system(rows: Sequence[Sequence[tuple[int, int]]],
+                        rhs: Sequence[int]) -> list[Fraction]:
     """Solve ``rows @ x = rhs`` exactly; raises SingularMatrixError.
 
     A row count other than the right-hand side's, a repeated column, a
     column out of range, a zero coefficient, or a number that is not an
-    ``int`` or a ``Fraction`` raises InternalInvariantError.  The
+    ``int`` (a ``Fraction`` included) raises InternalInvariantError.  The
     arguments are left unchanged.
     """
     n = len(rhs)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import (Callable, Hashable, Iterable, Mapping, Optional, Sequence,
@@ -77,10 +78,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical string form: ``a/b`` with b > 0 and gcd(|a|, b) = 1."""
+    """Canonical string form: ``a/b`` with b > 0 and gcd(|a|, b) = 1.
+
+    The integers are printed through ``Decimal``, which is exact and,
+    unlike ``str(int)``, has no digit limit: exact values of inputs whose
+    numbers are within the parser's limit can run past it.
+    """
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def is_probability(value: Fraction) -> bool:

@@ -43,23 +43,23 @@ run:
   win a value class almost surely (``_class_step``), which makes the
   improvement complete: a strategy that admits neither step is optimal.
 
-The qualitative analysis rests on one trap fixpoint, ``_sure_safe``, a
-worklist over predecessor lists and successor counters built per call,
-so each call is O(E) in the edges of the set it traps.  A positive
-attractor is the complement of the opponent's sure-safe region, and
-Player 0's moves in it come from a breadth-first search back from the
-targets; an almost-sure attractor drops the opponent's positive
-attractor of its sure-safe region until there is none.  The almost-sure
-region is Zielonka's recursion on these attractors (Chatterjee,
-Jurdziński & Henzinger, "Quantitative stochastic parity games", SODA
-2004), and its strategy composes attractor moves with the moves of the
-sub-arenas' regions.  Maximal end
-components are refined one SCC at a time: trap a part with the
-controller's ``_sure_safe``, split the trap into its SCCs, and keep a
-part that is its own trap.  The levels ``{priority >= e}`` are nested,
-so each level's components are sought only inside those of the level
-before.  Strategies are fixed through
-``model.restrict_choice``.  The solvers keep nothing between calls:
+The qualitative analysis rests on two worklists over predecessor lists
+and successor counters built per call, each O(E) in the edges of its
+sub-arena: the trap fixpoint ``_sure_safe``, and the positive attractor
+``_pos_attr``, one breadth-first search back from the targets that
+returns the attracting player's moves with the set.  An almost-sure
+attractor drops the opponent's positive attractor of its sure-safe
+region until there is none.  The almost-sure region is Zielonka's
+recursion on these attractors (Chatterjee, Jurdziński & Henzinger,
+"Quantitative stochastic parity games", SODA 2004), and its strategy
+composes attractor moves with the moves of the sub-arenas' regions.
+Maximal end components are refined one SCC at a time: trap a part with
+the controller's ``_sure_safe``, split the trap into its SCCs, and keep
+a part that is its own trap.  ``_winning_end_components`` decomposes the
+nested levels ``{priority >= e}`` of one parity, each inside the
+components of the level before.  Strategies are fixed through
+``model.restrict_choice``, and Player 1's best response is Player 0's
+MDP solve on the dual game.  The solvers keep nothing between calls:
 each call solves its game afresh.
 
 Reported witness strategies are canonical so both solvers return the
@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -198,48 +198,47 @@ def _sure_safe(game: ObligationGame, player: Owner, allowed: frozenset[int],
 
 
 def _pos_attr(game: ObligationGame, player: Owner, targets: Iterable[int],
-              sub: frozenset[int]) -> frozenset[int]:
-    """States where `player` forces reaching `targets` with positive probability:
-    those the opponent cannot surely confine away from them."""
-    return sub - _sure_safe(game, OPPONENT[player], sub - frozenset(targets), sub)
+              sub: frozenset[int]) -> tuple[frozenset[int], dict[int, int]]:
+    """States where `player` forces reaching `targets` with positive
+    probability, and `player`'s moves there.
 
-
-def _attractor_moves(game: ObligationGame, targets: frozenset[int],
-                     attractor: frozenset[int]) -> dict[int, int]:
-    """Player 0's moves in its positive attractor of `targets`.
-
-    A breadth-first search back from the targets inside the attractor:
-    each Player-0 member outside the targets moves to the successor it
-    was first reached from, one layer closer, so every play consistent
-    with the moves reaches the targets with positive probability within
-    |attractor| steps.
+    A breadth-first search back from the targets inside `sub`, in which a
+    configuration with no successor in `sub` joins at once.  Each `player`
+    member outside the targets moves to the successor it was first
+    reached from, one layer closer, so every play consistent with the
+    moves reaches the targets with positive probability.
     """
     owners, succ = game.owners, game.succ
-    preds: dict[int, list[int]] = {v: [] for v in attractor}
+    opponent = OPPONENT[player]
+    queue = sorted(v for v in targets if v in sub)
+    attractor = set(queue)
+    preds: dict[int, list[int]] = {v: [] for v in sub}
     count: dict[int, int] = {}
-    for v in attractor - targets:
+    for v in sub - attractor:
         inside = 0
         for u in succ[v]:
-            if u in attractor:
+            if u in sub:
                 inside += 1
                 preds[u].append(v)
-        count[v] = inside
-    queue = sorted(targets)
-    reached = set(queue)
+        if inside:
+            count[v] = inside
+        else:
+            attractor.add(v)
+            queue.append(v)
     moves: dict[int, int] = {}
     for u in queue:
         for p in preds[u]:
-            if p in reached:
+            if p in attractor:
                 continue
-            if owners[p] is Owner.PLAYER0:
+            if owners[p] is player:
                 moves[p] = u
-            elif owners[p] is Owner.PLAYER1:
+            elif owners[p] is opponent:
                 count[p] -= 1
                 if count[p]:
                     continue
-            reached.add(p)
+            attractor.add(p)
             queue.append(p)
-    return moves
+    return frozenset(attractor), moves
 
 
 def _as_attr(game: ObligationGame, player: Owner, targets: frozenset[int],
@@ -260,7 +259,7 @@ def _as_attr(game: ObligationGame, player: Owner, targets: frozenset[int],
         refuge = _sure_safe(game, opponent, sub - targets, sub)
         if not refuge:
             return sub
-        sub = sub - _pos_attr(game, opponent, refuge, sub)
+        sub = sub - _pos_attr(game, opponent, refuge, sub)[0]
 
 
 def _as_strategy(game: ObligationGame,
@@ -270,8 +269,9 @@ def _as_strategy(game: ObligationGame,
     Player-0 configuration of the region, inside the region.
 
     Zielonka's recursion on the least priority d with positive attractors
-    (Chatterjee, Jurdziński & Henzinger, SODA 2004).  The moves are
-    attractor moves (``_attractor_moves``) composed with the moves of the
+    (Chatterjee, Jurdziński & Henzinger, SODA 2004).  The moves are the
+    moves of Player 0's positive attractors (``_pos_attr``), from the
+    same search that finds each attractor, composed with the moves of the
     sub-arenas' regions.  Each round either answers, or shrinks `sub`, or
     settles part of it as won, so the recursion only descends on fewer
     priorities.
@@ -284,16 +284,16 @@ def _as_strategy(game: ObligationGame,
         if d % 2 == 0:
             # Player 0 is happy revisiting priority d.  Carve out the part
             # of the remainder the opponent can spoil and retry without it.
-            attractor = _pos_attr(game, Owner.PLAYER0, dset, sub)
+            attractor, moves = _pos_attr(game, Owner.PLAYER0, dset, sub)
             rest = sub - attractor
             won, choices = _as_strategy(game, rest)
             spoil = rest - won
             if spoil:
-                sub -= _pos_attr(game, Owner.PLAYER1, spoil, sub)
+                sub -= _pos_attr(game, Owner.PLAYER1, spoil, sub)[0]
                 continue
             # Win the remainder there; elsewhere attract to d, revisiting it
             # infinitely often unless the play settles in the remainder.
-            choices.update(_attractor_moves(game, dset, attractor))
+            choices.update(moves)
             choices.update((v, next(u for u in succ[v] if u in sub))
                            for v in dset if owners[v] is Owner.PLAYER0)
             return sub, {**choices, **settled}
@@ -301,13 +301,13 @@ def _as_strategy(game: ObligationGame,
         # without the opponent's positive attractor of d, it wins nowhere.
         # Otherwise everything that almost surely reaches that region is
         # won, and sub is solved again with it settled as won.
-        rest = sub - _pos_attr(game, Owner.PLAYER1, dset, sub)
+        rest = sub - _pos_attr(game, Owner.PLAYER1, dset, sub)[0]
         core, choices = _as_strategy(game, rest)
         if not core:
             break
         reach = _as_attr(game, Owner.PLAYER0, core, sub)
         settled.update(choices)
-        settled.update(_attractor_moves(game, core, reach))
+        settled.update(_pos_attr(game, Owner.PLAYER0, core, reach)[1])
         if reach == sub:
             return sub, settled
         game = settle(game, dict.fromkeys(reach, True))
@@ -322,11 +322,11 @@ def _certify_as(game: ObligationGame, region: frozenset[int],
     The region must be closed under the chosen moves and under every move
     of the opponent and of chance.  Fixing the moves leaves an MDP of the
     opponent, whose plays almost surely end up in an end component; so
-    no end component inside the region may have an odd least priority e,
-    that is, no maximal end component of its part of priority >= e may
-    contain e.  A failed check raises InternalInvariantError.
+    no end component inside the region may have an odd least priority
+    (``_winning_end_components`` with parity 1).  A failed check raises
+    InternalInvariantError.
     """
-    owners, succ, priority = game.owners, game.succ, game.priority
+    owners, succ = game.owners, game.succ
     for v in region:
         if owners[v] is Owner.PLAYER0 and v not in choices:
             raise InternalInvariantError(f"no almost-sure move at {game.names[v]}")
@@ -334,19 +334,11 @@ def _certify_as(game: ObligationGame, region: frozenset[int],
         if any(u not in region for u in moves):
             raise InternalInvariantError(
                 f"the almost-sure region is not closed at {game.names[v]}")
-    fixed = restrict_choice(game, choices)
-    components = [region]
-    for e in sorted({priority[v] for v in region if priority[v] % 2}):
-        # The end components of priority >= e lie in those of the level before.
-        part = frozenset(v for component in components for v in component
-                         if priority[v] >= e)
-        if not part:
-            break
-        components = _max_end_components(fixed, Owner.PLAYER1, part)
-        for component in components:
-            if any(priority[v] == e for v in component):
-                raise InternalInvariantError(
-                    f"the almost-sure strategy loses at {game.names[min(component)]}")
+    losing = _winning_end_components(restrict_choice(game, choices), Owner.PLAYER1,
+                                     region, 1)
+    if losing:
+        raise InternalInvariantError(
+            f"the almost-sure strategy loses at {game.names[min(losing)]}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +385,31 @@ def _max_end_components(game: ObligationGame, controller: Owner,
         else:
             pending.extend(sccs(trap))
     return components
+
+
+def _winning_end_components(game: ObligationGame, controller: Owner,
+                            sub: frozenset[int], parity: int) -> frozenset[int]:
+    """Union of the end components inside `sub` whose least priority has
+    `parity` (0 even, 1 odd): those in a maximal end component of the part
+    of priority >= e that contains e, for each e of `parity`.  Each level
+    is sought inside the components of the level before that contain no
+    such e.
+    """
+    priority = game.priority
+    found: set[int] = set()
+    components = [sub]
+    for e in sorted({priority[v] for v in sub if priority[v] % 2 == parity}):
+        part = frozenset(v for component in components for v in component
+                         if priority[v] >= e)
+        if not part:
+            break
+        components = []
+        for component in _max_end_components(game, controller, part):
+            if any(priority[v] == e for v in component):
+                found |= component
+            else:
+                components.append(component)
+    return frozenset(found)
 
 
 def _mdp_max_reach(game: ObligationGame, controller: Owner,
@@ -453,33 +470,18 @@ def _mdp_max_parity(game: ObligationGame, controller: Owner) -> Values:
         if game.owners[v] is OPPONENT[controller] and len(game.succ[v]) != 1:
             raise InternalInvariantError(
                 "MDP analysis requires the passive player to be fully restricted")
-    winning: set[int] = set()
-    components = [frozenset(range(n))]
-    for e in sorted({p for p in game.priority if p % 2 == 0}):
-        # The end components of priority >= e lie in those of the level
-        # before; inside a winning one they would add nothing.
-        sub = frozenset(v for component in components for v in component
-                        if game.priority[v] >= e)
-        if not sub:
-            break
-        components = []
-        for component in _max_end_components(game, controller, sub):
-            if any(game.priority[v] == e for v in component):
-                winning |= component
-            else:
-                components.append(component)
-    return _mdp_max_reach(game, controller, frozenset(winning))
+    return _mdp_max_reach(game, controller, _winning_end_components(
+        game, controller, frozenset(range(n)), 0))
 
 
 def _best_response_values(game: ObligationGame, sigma: dict[int, int]) -> Values:
     """Exact value of fixing Player 0 to ``sigma``: Player 1 minimises.
 
     The minimum of the parity probability is one minus the maximum of
-    the complemented (priority + 1) objective in the resulting MDP.
+    the complemented objective in the resulting MDP, which is Player 0's
+    in its dual game (``dual_game``).
     """
-    complemented = replace(restrict_choice(game, sigma),
-                           priority=tuple(p + 1 for p in game.priority))
-    mx = _mdp_max_parity(complemented, Owner.PLAYER1)
+    mx = _mdp_max_parity(dual_game(restrict_choice(game, sigma)), Owner.PLAYER0)
     return tuple(ONE - x for x in mx)
 
 
@@ -490,10 +492,6 @@ def _best_response_values(game: ObligationGame, sigma: dict[int, int]) -> Values
 
 def _player_states(game: ObligationGame, player: Owner) -> list[int]:
     return [v for v in range(len(game)) if game.owners[v] is player]
-
-
-def _strategy_count(game: ObligationGame, player: Owner) -> int:
-    return math.prod(len(game.succ[v]) for v in _player_states(game, player))
 
 
 def _strategies(game: ObligationGame, player: Owner) -> Iterator[dict[int, int]]:
@@ -632,8 +630,8 @@ def solve_values(game: ObligationGame) -> Values:
     full = frozenset(range(n))
     dual = dual_game(game)
     sinks = [v for v in full if game.succ[v] == (v,) and game.priority[v] % 2]
-    won, sigma = _as_strategy(game, full - _pos_attr(game, Owner.PLAYER1, sinks, full))
-    lost, pi = _as_strategy(dual, full - _pos_attr(game, Owner.PLAYER0, won, full))
+    won, sigma = _as_strategy(game, full - _pos_attr(game, Owner.PLAYER1, sinks, full)[0])
+    lost, pi = _as_strategy(dual, full - _pos_attr(game, Owner.PLAYER0, won, full)[0])
     _certify_as(game, won, sigma)
     _certify_as(dual, lost, pi)
     if won | lost == full:
@@ -814,7 +812,10 @@ def value_vector(game: ObligationGame, values: Values, *,
 
 
 def oracle_pair_count(game: ObligationGame) -> int:
-    return _strategy_count(game, Owner.PLAYER0) * _strategy_count(game, Owner.PLAYER1)
+    """The number of pure memoryless strategy pairs: the product of the
+    owned configurations' out-degrees."""
+    return math.prod(len(game.succ[v]) for v in range(len(game))
+                     if game.owners[v] is not Owner.PROBABILISTIC)
 
 
 def solve_parity_oracle(game: ObligationGame, *,

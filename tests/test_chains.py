@@ -10,11 +10,11 @@ from obg import (InputFormatError, ParityObjective, bscc_decompose,
                  monte_carlo_estimate, parity_measure, reach_probability)
 from obg.generators import random_chain
 from obg.io_formats import ChainDocument, parse_chain_document, serialize_chain_document
-from obg.linalg import solve_linear_system
 from obg.model import ONE, ZERO
 from obg.obligations import reachable_pairs
 
 from conftest import load_chain_doc, load_game
+from test_linalg import dense, dense_solve
 
 HALF = F(1, 2)
 
@@ -25,18 +25,20 @@ def seeded_chain(seed: int):
 
 def test_single_absorbing_location():
     chain = make_chain(["s"], {"s": {"s": ONE}}, initial="s")
-    dec = bscc_decompose(chain.succ)
+    dec = bscc_decompose(chain.succ, [1])
     assert dec.components == (frozenset({0}),)
     assert dec.transient == frozenset()
+    assert dec.accepting == (False,)
 
 
 def test_two_sinks_and_transient_root():
     chain = make_chain(["r", "a", "b"],
                        {"r": {"a": HALF, "b": HALF}, "a": {"a": ONE}, "b": {"b": ONE}},
                        initial="r")
-    dec = bscc_decompose(chain.succ)
-    assert set(dec.components) == {frozenset({1}), frozenset({2})}
+    dec = bscc_decompose(chain.succ, [1, 0, 1])
+    assert dec.components == (frozenset({1}), frozenset({2}))
     assert dec.transient == frozenset({0})
+    assert dec.accepting == (True, False)
 
 
 def brute_force_bsccs(rows):
@@ -68,17 +70,21 @@ def brute_force_bsccs(rows):
 
 def test_fig6_chain_bsccs_match_brute_force():
     game = load_game("fig6.game.json")
-    dec = bscc_decompose(game.kernel)
+    dec = bscc_decompose(game.kernel, game.priority)
     assert set(dec.components) == brute_force_bsccs(game.kernel)
     # obligations erased, the whole recurrence class is one bottom SCC
     assert dec.components == (frozenset(range(6)),)
+    assert dec.accepting == (min(game.priority) % 2 == 0,)
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=40)
 def test_bsccs_match_brute_force_on_random_chains(seed):
-    chain, _ = seeded_chain(seed)
-    assert set(bscc_decompose(chain.succ).components) == brute_force_bsccs(chain.succ)
+    chain, priority = seeded_chain(seed)
+    dec = bscc_decompose(chain.succ, priority)
+    assert set(dec.components) == brute_force_bsccs(chain.succ)
+    assert dec.accepting == tuple(min(priority[v] for v in c) % 2 == 0
+                                  for c in dec.components)
 
 
 def test_reach_probability_trivial_laws():
@@ -156,7 +162,8 @@ def test_reach_probability_matches_ruin_closed_form(walk):
 def fraction_rows_reach_probability(rows, target, avoid):
     """reach_probability as it was before it scaled rows to integers:
     the system x_v - sum_t p_t x_t = sum_{t in target} p_t over the
-    locations that can reach the target, solved on ``Fraction`` rows."""
+    locations that can reach the target, on ``Fraction`` rows solved by
+    dense ``Fraction`` elimination."""
     preds = [[] for _ in rows]
     for v, row in enumerate(rows):
         if v not in avoid:
@@ -182,7 +189,7 @@ def fraction_rows_reach_probability(rows, target, avoid):
         system.append(tuple((c, x) for c, x in coefficients.items() if x))
         rhs.append(constant)
     if unknown:
-        for v, x in zip(unknown, solve_linear_system(system, rhs)):
+        for v, x in zip(unknown, dense_solve(dense(system, len(unknown)), rhs)):
             values[v] = x
     return values
 

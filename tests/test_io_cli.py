@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 from dataclasses import fields, replace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -545,6 +546,53 @@ def test_exponent_thresholds_exit_2(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     code, out, err = run_main(["solve-game", str(path), "--format", "table"])
     assert (code, out, err) == (2, "", "error: not a rational: '1e-5000'\n")
+
+
+# Numbers of 2201 digits, within the parser's limit; their products and
+# sums run past the interpreter's 4300-digit limit on str(int).
+HUGE_A, HUGE_B = 10**2200 + 1, 10**2200 + 3
+
+
+def huge_chain(s0_row: dict) -> str:
+    """A chain s0 -> s1 -> win, falling to lose, with s0's row `s0_row`."""
+    locations = [{"id": name, "labels": [], "priority": priority, "obligation": None}
+                 for name, priority in (("s0", 1), ("s1", 1), ("win", 0), ("lose", 1))]
+    transitions = {"s0": s0_row,
+                   "s1": {"win": f"1/{HUGE_B}", "lose": f"{HUGE_B - 1}/{HUGE_B}"},
+                   "win": {"win": "1"}, "lose": {"lose": "1"}}
+    return json.dumps({"format": "obg-v1", "kind": "chain", "locations": locations,
+                       "initial": "s0", "transitions": transitions})
+
+
+def test_values_beyond_the_digit_limit_are_printed(tmp_path):
+    path = tmp_path / "huge.chain.json"
+    path.write_text(huge_chain({"s1": f"1/{HUGE_A}", "lose": f"{HUGE_A - 1}/{HUGE_A}"}),
+                    encoding="utf-8")
+    value = f"1/{Decimal(HUGE_A * HUGE_B)}"
+    code, out, err = run_main(["solve-chain", str(path), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["values"]["s0"] == value
+    code, out, err = run_main(["solve-chain", str(path)])
+    assert (code, err) == (0, "")
+    assert any(line.split()[0] == "s0" and value in line.split() for line in out.splitlines())
+    code, out, err = run_main(["oracle", str(path), "--samples", "10"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exact"] == value
+
+
+def test_row_sums_beyond_the_digit_limit_exit_2(tmp_path):
+    total = Fraction(1, HUGE_A) + Fraction(1, HUGE_B)
+    expected = f"sums to {Decimal(total.numerator)}/{Decimal(total.denominator)}, expected 1"
+    path = tmp_path / "huge.chain.json"
+    path.write_text(huge_chain({"s1": f"1/{HUGE_A}", "lose": f"1/{HUGE_B}"}), encoding="utf-8")
+    code, out, err = run_main(["solve-chain", str(path)])
+    assert (code, out) == (2, "") and expected in err
+    data = json.loads(fixture_text("fig6.game.json"))
+    data["kernel"]["s1"] = {"s2": f"1/{HUGE_A}", "s3": f"1/{HUGE_B}"}
+    path = tmp_path / "huge.game.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_main(["solve-game", str(path)])
+    assert (code, out) == (2, "") and expected in err
 
 
 def nested_default(depth: int) -> dict:

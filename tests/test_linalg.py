@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -67,6 +68,18 @@ def sparse(matrix):
     return [tuple((c, x) for c, x in enumerate(row) if x) for row in matrix]
 
 
+def integer_rows(rows, rhs):
+    """Rational sparse rows and right-hand sides as the solver takes them:
+    each row and its right-hand side scaled to integers by the lcm of
+    their denominators, as ``chains.reach_probability`` scales its rows."""
+    scaled_rows, scaled_rhs = [], []
+    for row, value in zip(rows, rhs):
+        scale = math.lcm(F(value).denominator, *(F(x).denominator for _, x in row))
+        scaled_rows.append(tuple((c, int(x * scale)) for c, x in row))
+        scaled_rhs.append(int(value * scale))
+    return scaled_rows, scaled_rhs
+
+
 def dense(rows, n):
     matrix = [[ZERO] * n for _ in range(n)]
     for r, row in enumerate(rows):
@@ -77,20 +90,20 @@ def dense(rows, n):
 
 def test_small_system():
     # x + y = 1, x - y = 1/3
-    solution = solve_linear_system(
-        [((0, F(1)), (1, F(1))), ((0, F(1)), (1, F(-1)))], [F(1), F(1, 3)])
+    solution = solve_linear_system(*integer_rows(
+        [((0, F(1)), (1, F(1))), ((0, F(1)), (1, F(-1)))], [F(1), F(1, 3)]))
     assert solution == [F(2, 3), F(1, 3)]
 
 
 def test_singular_system_is_detected():
     with pytest.raises(SingularMatrixError):
-        solve_linear_system([((0, F(1)), (1, F(1))), ((0, F(2)), (1, F(2)))],
-                            [F(1), F(2)])
+        solve_linear_system(*integer_rows([((0, F(1)), (1, F(1))), ((0, F(2)), (1, F(2)))],
+                                          [F(1), F(2)]))
 
 
 def test_empty_row_is_singular():
     with pytest.raises(SingularMatrixError):
-        solve_linear_system([((0, F(1)), (1, F(1))), ()], [F(1), F(0)])
+        solve_linear_system(*integer_rows([((0, F(1)), (1, F(1))), ()], [F(1), F(0)]))
 
 
 def test_proportional_rows_are_singular():
@@ -98,14 +111,14 @@ def test_proportional_rows_are_singular():
             ((1, F(2)), (2, F(-1, 3))),
             ((1, F(-6)), (2, F(1)))]
     with pytest.raises(SingularMatrixError):
-        solve_linear_system(rows, [F(1), F(1), F(-3)])
+        solve_linear_system(*integer_rows(rows, [F(1), F(1), F(-3)]))
 
 
 def test_arguments_are_left_unchanged():
     rows = [((0, F(1)), (1, F(-1, 2))),
             ((0, F(-1, 3)), (1, F(1)), (2, F(-1, 3))),
             ((1, F(-1, 2)), (2, F(1)))]
-    rhs = [F(1, 2), F(1, 3), F(0)]
+    rows, rhs = integer_rows(rows, [F(1, 2), F(1, 3), F(0)])
     rows_before = [tuple(row) for row in rows]
     rhs_before = list(rhs)
     solution = solve_linear_system(rows, rhs)
@@ -121,7 +134,7 @@ def test_solution_satisfies_system_when_nonsingular(data):
     matrix, x = data
     rhs = [sum(row[j] * x[j] for j in range(len(x))) for row in matrix]
     try:
-        solution = solve_linear_system(sparse(matrix), rhs)
+        solution = solve_linear_system(*integer_rows(sparse(matrix), rhs))
     except SingularMatrixError:
         return
     recomputed = [sum(row[j] * solution[j] for j in range(len(x))) for row in matrix]
@@ -177,7 +190,7 @@ def big_entry(kind: str):
        st.sampled_from(["banded", "permuted", "scattered"]))
 def test_sparse_solver_agrees_with_dense_oracle(seed, n, shape):
     matrix, rhs = random_sparse_system(random.Random(seed), n, shape)
-    assert solve_linear_system(sparse(matrix), rhs) == dense_solve(matrix, rhs)
+    assert solve_linear_system(*integer_rows(sparse(matrix), rhs)) == dense_solve(matrix, rhs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,7 +199,7 @@ def test_sparse_solver_agrees_with_dense_oracle(seed, n, shape):
        st.sampled_from(sorted(exact)))
 def test_large_integer_and_mixed_rows_agree_with_dense_oracle(seed, n, shape, kind):
     matrix, rhs = random_sparse_system(random.Random(seed), n, shape, big_entry(kind))
-    assert solve_linear_system(sparse(matrix), rhs) == dense_solve(matrix, rhs)
+    assert solve_linear_system(*integer_rows(sparse(matrix), rhs)) == dense_solve(matrix, rhs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -200,9 +213,9 @@ def test_large_dense_systems_agree_with_dense_oracle(data):
         expected = dense_solve(matrix, rhs)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
-            solve_linear_system(sparse(matrix), rhs)
+            solve_linear_system(*integer_rows(sparse(matrix), rhs))
         return
-    solution = solve_linear_system(sparse(matrix), rhs)
+    solution = solve_linear_system(*integer_rows(sparse(matrix), rhs))
     assert solution == expected
     assert all(type(x) is F for x in solution)
 
@@ -211,7 +224,7 @@ def test_large_dense_systems_agree_with_dense_oracle(data):
     ([((0, 1),)], [1, 2], "1 rows for 2 right-hand sides"),
     ([((0, 1), (0, 2))], [1], "repeats a column"),
     ([((0, 1), (1, 0)), ((1, 1),)], [1, 1], "zero coefficient"),
-    ([((0, F(1)), (1, F(0))), ((1, 1),)], [1, 1], "zero coefficient"),
+    ([((0, 2),), ((0, 1), (1, 0))], [1, 1], "zero coefficient"),
     ([((0, 0.5),)], [1], "holds a float"),
     ([((0, True),)], [1], "holds a bool"),
     ([((0, 1),)], [1.0], "holds a float"),
@@ -219,6 +232,8 @@ def test_large_dense_systems_agree_with_dense_oracle(data):
     ([((0, 1),)], ["1"], "holds a str"),
     ([((0, 1), (-1, 1))], [1], "column outside"),
     ([((0, 1), (1, 1))], [1], "column outside"),
+    ([((0, F(1)),)], [1], "holds a Fraction"),
+    ([((0, 1),)], [F(1, 2)], "holds a Fraction"),
 ])
 def test_malformed_systems_are_refused(rows, rhs, message):
     with pytest.raises(InternalInvariantError, match=message) as error:

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import weakref
 from dataclasses import replace
@@ -357,19 +358,20 @@ def naive_pos_attr(game, player, targets, sub):
         inside |= grow
 
 
-def check_attractor_moves(game, targets, attractor, moves):
-    """Following the moves, every member reaches the targets with positive
-    probability: the rank (steps to the targets, minimised over chance and
-    maximised over Player 1) is finite everywhere."""
+def check_attractor_moves(game, player, targets, attractor, moves):
+    """Following `player`'s moves, every member reaches the targets with
+    positive probability: the rank (steps to the targets, minimised over
+    chance and maximised over the opponent) is finite everywhere."""
+    opponent = Owner.PLAYER1 if player is Owner.PLAYER0 else Owner.PLAYER0
     rank = {v: 0 for v in targets}
     while True:
         grow = {}
         for v in attractor - set(rank):
             succ = [moves[v]] if v in moves else [u for u in game.succ[v] if u in attractor]
             ranked = [rank[u] for u in succ if u in rank]
-            if game.owners[v] is Owner.PLAYER1 and len(ranked) == len(succ) or \
-               game.owners[v] is not Owner.PLAYER1 and ranked:
-                grow[v] = 1 + (max if game.owners[v] is Owner.PLAYER1 else min)(ranked)
+            if game.owners[v] is opponent and len(ranked) == len(succ) or \
+               game.owners[v] is not opponent and ranked:
+                grow[v] = 1 + (max if game.owners[v] is opponent else min)(ranked)
         if not grow:
             break
         rank.update(grow)
@@ -399,9 +401,10 @@ def naive_as_attr(game, player, targets, sub):
         stay = reach
 
 
-def naive_end_components(game, controller, sub):
-    """Maximal sets, by brute force, where the controller can stay forever
-    and every member reaches every other under the kept edges."""
+def all_end_components(game, controller, sub):
+    """Every set inside `sub`, by brute force, where the controller can
+    stay forever and every member reaches every other under the kept
+    edges."""
     def kept(v, s):
         return [u for u in game.succ[v] if u in s]
 
@@ -424,9 +427,14 @@ def naive_end_components(game, controller, sub):
         return True
 
     members = sorted(sub)
-    found = [s for k in range(1, len(members) + 1)
-             for s in map(frozenset, itertools.combinations(members, k))
-             if is_end_component(s)]
+    return [s for k in range(1, len(members) + 1)
+            for s in map(frozenset, itertools.combinations(members, k))
+            if is_end_component(s)]
+
+
+def naive_end_components(game, controller, sub):
+    """The maximal end components inside `sub`, by brute force."""
+    found = all_end_components(game, controller, sub)
     return {s for s in found if not any(s < t for t in found)}
 
 
@@ -438,17 +446,30 @@ def test_attractors_and_end_components_match_naive_fixpoints(seed, drop1, drop2,
     game = random_parity_game(random.Random(seed), max_configs=10)
     sub = sub_arena(game, ~(drop1 & drop2))
     targets = frozenset(v for v in range(len(game)) if target_mask >> v & 1)
-    attractor = parity_mod._pos_attr(game, player, targets, sub)
+    attractor, moves = parity_mod._pos_attr(game, player, targets, sub)
     assert attractor == naive_pos_attr(game, player, targets, sub)
-    if player is Owner.PLAYER0:
-        moves = parity_mod._attractor_moves(game, targets & sub, attractor)
-        assert set(moves) == {v for v in attractor - targets if game.owners[v] is player}
-        check_attractor_moves(game, targets & sub, attractor, moves)
+    assert set(moves) == {v for v in attractor - targets if game.owners[v] is player}
+    check_attractor_moves(game, player, targets & sub, attractor, moves)
     closed = kept_by(game, player, targets, sub)
     assert parity_mod._as_attr(game, player, closed, sub) == \
         naive_as_attr(game, player, closed, sub)
     assert set(parity_mod._max_end_components(game, player, sub)) == \
         naive_end_components(game, player, sub)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 1023),
+       st.sampled_from([Owner.PLAYER0, Owner.PLAYER1]), st.sampled_from([0, 1]))
+@settings(max_examples=150, deadline=None)
+def test_winning_end_components_match_the_brute_force_union(seed, mask, controller, parity):
+    # The union of every end component, found by brute force, whose least
+    # priority has the given parity.
+    game = random_parity_game(random.Random(seed), max_configs=10)
+    sub = sub_arena(game, mask)
+    expected = set()
+    for component in all_end_components(game, controller, sub):
+        if min(game.priority[v] for v in component) % 2 == parity:
+            expected |= component
+    assert parity_mod._winning_end_components(game, controller, sub, parity) == expected
 
 
 def test_as_attr_iterates_to_its_greatest_fixpoint():
@@ -1130,7 +1151,8 @@ def test_threshold_certificate_checked_beyond_the_pair_budget(monkeypatch):
         rows.append((f"x{i}", Owner.PLAYER1, 2, None))
         edges += [(f"x{i}", "w"), (f"x{i}", "l")]
     game = make_game(rows, edges, {"e": {"w": ONE}, "w": {"w": ONE}, "l": {"l": ONE}})
-    assert parity_mod._strategy_count(game, Owner.PLAYER1) > Budgets().max_strategy_pairs
+    assert math.prod(len(game.succ[v]) for v in range(len(game))
+                     if game.owners[v] is Owner.PLAYER1) > Budgets().max_strategy_pairs
     values = parity_mod.solve_values(game)
     assert values[:3] == (ONE, ONE, ONE)
     planted = sigma({1: 2})
