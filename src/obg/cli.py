@@ -19,19 +19,19 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
-from . import dot_export, io_formats
+# pautomata, generators and dot_export are imported by the subcommands that
+# call them, so that every other subcommand starts without loading them.
+from . import io_formats
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .chains import ParityObjective, monte_carlo_estimate, parity_measure
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError, ObgError)
-from .generators import random_game, random_parity_game
 from .model import (ONE, ObligationGame, dual_game, embed_chain_as_game,
                     format_rational, parse_rational)
 from .obligations import (ObligationValueReport, decide_value,
                           find_best_dependency, solve_chain_obligations,
                           verify_dependency)
 from .parity import oracle_pair_count, solve_parity, solve_parity_oracle
-from .pautomata import accepts, build_product_game, is_uniform
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -45,6 +45,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_obligation_game(path: str) -> ObligationGame:
@@ -196,13 +198,14 @@ def cmd_decide(args) -> int:
 
 
 def cmd_paut(args) -> int:
+    from .pautomata import accepts, format_formula, is_uniform
+
     budgets = _budgets(args)
     aut = io_formats.parse_automaton_document(_read(args.automaton))
     if args.paut_command == "uniform":
         uniform, witness = is_uniform(aut)
         out = {"uniform": uniform}
         if witness is not None:
-            from .pautomata import format_formula
             out["mixed_class"] = [format_formula(f) for f in witness]
         print(io_formats.dumps(out), end="")
         return EXIT_OK if uniform else EXIT_NO
@@ -220,7 +223,11 @@ def cmd_paut(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    from . import dot_export
+
     if args.chain is not None:
+        from .pautomata import build_product_game
+
         aut = io_formats.parse_automaton_document(_read(args.input))
         doc = io_formats.parse_chain_document(_read(args.chain))
         product, _ = build_product_game(aut, doc.chain)
@@ -280,6 +287,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .generators import random_game, random_parity_game
+
     budgets = _budgets(args)
     if args.rounds < 1:
         raise InputFormatError(f"--rounds must be positive, got {args.rounds}")

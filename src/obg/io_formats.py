@@ -18,15 +18,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Container, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Container, Mapping, Optional, Sequence
 
 from .errors import InputFormatError
 from .model import (GE, GT, LabeledMarkovChain, Obligation, ObligationGame,
                     Owner, format_rational, make_game, parse_rational,
                     require_int, validate, validate_chain)
 from .obligations import Dependency
-from .pautomata import (FF, TT, And, Formula, Or, PAutomaton, StateAtom,
-                        Term, validate_automaton)
+
+if TYPE_CHECKING:  # the automaton functions import pautomata when called
+    from .pautomata import Formula, PAutomaton
 
 FORMAT = "obg-v1"
 
@@ -345,6 +346,8 @@ def serialize_dependency_document(dep: Dependency, game: ObligationGame) -> str:
 
 
 def _parse_formula(raw: Any, where: str, depth: int = 1) -> Formula:
+    from .pautomata import FF, TT, And, Or, StateAtom, Term
+
     if depth > MAX_FORMULA_DEPTH:
         raise InputFormatError(f"{where}: formula nested deeper than {MAX_FORMULA_DEPTH}")
     if not (isinstance(raw, list) and raw and isinstance(raw[0], str)):
@@ -374,6 +377,8 @@ def _parse_formula(raw: Any, where: str, depth: int = 1) -> Formula:
 
 
 def formula_json(f: Formula) -> list:
+    from .pautomata import FF, TT, And, Or, StateAtom, Term
+
     if f == TT:
         return ["tt"]
     if f == FF:
@@ -404,6 +409,8 @@ def _parse_letter(key: str, propositions: Sequence[str], where: str) -> frozense
 
 
 def parse_automaton_document(text: str) -> PAutomaton:
+    from .pautomata import FF, PAutomaton, validate_automaton
+
     data = loads(text)
     if data.get("kind") != "pautomaton":
         raise InputFormatError('expected "kind": "pautomaton"')

@@ -726,3 +726,42 @@ def test_mutated_fixtures_exit_0_to_3_without_internal_errors(monkeypatch, capsy
                         failures.append((name, where, change, argv[0], code, err))
     assert runs > 5000
     assert failures == []
+
+
+@pytest.mark.parametrize("kind", ["game", "chain", "dependency", "pautomaton"])
+def test_files_that_are_not_utf8_exit_2(tmp_path, kind):
+    path = tmp_path / f"bad.{kind}.json"
+    path.write_bytes(b"\xff\xfe{}")
+    for argv in readers(kind, str(path), "s1"):
+        code, out, err = run_main(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {path} is not UTF-8 text: "), argv
+
+
+# Runs obg.cli.main on the arguments and prints its exit code and the
+# obg submodules the run loaded.
+STARTUP_RUNNER = """
+import contextlib, io, json, sys
+from obg.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("obg."))]))
+"""
+
+# Of the modules no solver path needs, the ones each subcommand may load.
+OPTIONAL_MODULES = {"obg.pautomata", "obg.generators", "obg.dot_export"}
+STARTUP_LOADS = {"solve-game": set(), "solve-chain": set(), "verify": set(),
+                 "decide": set(), "oracle": set(), "paut": {"obg.pautomata"}}
+
+
+@pytest.mark.parametrize("argv", [argv for argv in readme_commands()
+                                  if argv[0] in STARTUP_LOADS],
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_each_subcommand_loads_only_the_modules_it_runs(argv):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", STARTUP_RUNNER, *argv],
+                          capture_output=True, text=True, env=env, cwd=REPO, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout)
+    assert code == 0
+    assert OPTIONAL_MODULES & set(loaded) == STARTUP_LOADS[argv[0]]
