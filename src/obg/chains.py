@@ -54,6 +54,8 @@ class BsccDecomposition:
 def bscc_decompose(rows: Rows, priority: Sequence[int]) -> BsccDecomposition:
     """Exact SCC condensation; a component is bottom iff no edge leaves it."""
     n = len(rows)
+    if len(priority) != n:
+        raise InputFormatError("priority map must cover every location")
     comps = tarjan_scc(n, lambda v: (t for t, _ in rows[v]))
     bsccs = []
     for comp in comps:
@@ -122,8 +124,6 @@ def reach_probability(rows: Rows,
 
 def parity_measure(rows: Rows, priority: Sequence[int]) -> list[Fraction]:
     """Measure of the min-even parity objective from each location."""
-    if len(priority) != len(rows):
-        raise InputFormatError("priority map must cover every location")
     dec = bscc_decompose(rows, priority)
     target: set[int] = set()
     for comp, acc in zip(dec.components, dec.accepting):

@@ -346,7 +346,8 @@ def validate_chain(mc: LabeledMarkovChain) -> list[str]:
             if not (0 <= t < n):
                 problems.append(f"location {name} has successor index {t} out of range")
             if p <= ZERO:
-                problems.append(f"location {name} lists successor {mc.names[t]} "
+                problems.append(f"location {name} lists successor "
+                                f"{mc.names[t] if 0 <= t < n else t} "
                                 f"with non-positive probability {format_rational(p)}")
             total += p
         if total != ONE:

@@ -69,15 +69,15 @@ choice at a time to the first successor that leaves the value vector
 unchanged.  Whether a restriction of one player's moves keeps the values
 is decided on the graph alone, by the value-class characterisation of
 Chatterjee, Jurdziński & Henzinger: the player must still win almost
-surely, from all of each value class of positive value, the class game
-in which the other classes and the chance configurations leaving the
-class are settled (``_class_game``, ``_keeps_values``).  Most choices
-need no such test: each class holds an almost-sure strategy of its class
-game, solved once or left by its last passing test, and a candidate that
-strategy picks keeps the values.  The finished strategy is certified the
-same way, with ``_certify_as`` on each class game, so a witness costs no
-linear system.  Enumeration in the oracle
-may be parallelized over Player-0 strategies as long as this
+surely, from all of each value class of positive value, the class game,
+built from the class alone, in which its successors outside it and its
+chance configurations leaving it are settled (``_class_game``,
+``_keeps_values``).  Most choices need no such test: each class holds an
+almost-sure strategy of its class game, solved once or left by its last
+passing test, and a candidate that strategy picks keeps the values.  The
+finished strategy is certified the same way, with ``_certify_as`` on
+each class game, so a witness costs no linear system.  Enumeration in
+the oracle may be parallelized over Player-0 strategies as long as this
 deterministic reduction is kept.
 """
 
@@ -85,6 +85,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -537,10 +538,12 @@ def _class_step(game: ObligationGame, x: Values, sigma: dict[int, int]) -> bool:
     subexponential algorithms for stochastic parity games", STACS 2006).
     """
     switched = False
-    for r in sorted(set(x) - {ONE}):
-        _, _, choices = _win_class(_class_game(game, x, r, boundary_won=False), x, r)
-        switched |= any(sigma[v] != u for v, u in choices.items())
-        sigma.update(choices)
+    _, rank, classes, _ = _player_view(game, x, 0)
+    for cls in classes:
+        if x[cls[0]] != ONE:
+            _, choices = _as_strategy(*_class_game(game, rank, cls, boundary_won=False))
+            switched |= any(sigma[v] != u for v, u in choices.items())
+            sigma.update(choices)
     return switched
 
 
@@ -643,58 +646,57 @@ def solve_values(game: ObligationGame) -> Values:
     return tuple(vals[i] for i in index)
 
 
-def _class_game(game: ObligationGame, x: Sequence[Fraction | int],
-                r: Fraction | int, boundary_won: bool = True) -> ObligationGame:
-    """The game of the value class C = {v : x[v] = r}, for values `x` or
-    any labels ordered like them (such as ``_player_view``'s classes).
-
-    Every configuration outside C is settled, as won when its value is
-    above r and as lost when below, and so is every chance configuration
-    in C with a successor outside C, as `boundary_won`: the play leaves C
-    from there with positive probability, upward and downward, and keeps
-    r on average (Chatterjee, Jurdziński & Henzinger, SODA 2004).
-    """
-    settled = {v: x[v] > r for v in range(len(game)) if x[v] != r}
-    settled.update((v, boundary_won) for v in range(len(game))
-                   if x[v] == r and game.owners[v] is Owner.PROBABILISTIC
-                   and any(x[u] != r for u in game.succ[v]))
-    return settle(game, settled)
-
-
-def _win_class(class_game: ObligationGame, x: Sequence[Fraction | int],
-               r: Fraction | int) -> tuple[frozenset[int], frozenset[int], dict[int, int]]:
-    """The class C = {v : x[v] = r} of `class_game` (``_class_game``), and
-    Player 0's almost-sure region and moves in it, solved on C and its
-    settled successors."""
-    cls = frozenset(v for v in range(len(class_game)) if x[v] == r)
-    won, moves = _as_strategy(class_game, cls.union(*(class_game.succ[v] for v in cls)))
-    return cls, won, moves
+def _class_game(game: ObligationGame, rank: Sequence[int], cls: Sequence[int],
+                boundary_won: bool = True) -> tuple[ObligationGame, frozenset[int]]:
+    """The game of the value class `cls` of `rank` (``_player_view``), and
+    its arena: the class and its unsettled members' successors.  Each
+    chance member with a successor outside the class is settled as
+    `boundary_won`: the play leaves the class from there with positive
+    probability, upward and downward, and keeps its value on average
+    (Chatterjee, Jurdziński & Henzinger, SODA 2004).  The other members'
+    successors outside the class are settled, as won above it and as lost
+    below; nothing else is, since ``_as_strategy`` and ``_certify_as`` read
+    nothing outside the arena they are given."""
+    owners, succ = game.owners, game.succ
+    k = rank[cls[0]]
+    settled: dict[int, bool] = {}
+    for v in cls:
+        for u in succ[v]:
+            if rank[u] != k:
+                if owners[v] is Owner.PROBABILISTIC:
+                    settled[v] = boundary_won
+                    break
+                settled[u] = rank[u] > k
+    class_game = settle(game, settled)
+    members = frozenset(cls)
+    return class_game, members.union(*(class_game.succ[v] for v in members))
 
 
-def _player_view(game: ObligationGame, values: Values,
-                 player: int) -> tuple[ObligationGame, tuple[int, ...], list[int]]:
+def _player_view(game: ObligationGame, values: Values, player: int
+                 ) -> tuple[ObligationGame, tuple[int, ...], list[list[int]], range]:
     """`game` with `player` as Player 0 (the dual game for Player 1); each
-    configuration's value class, numbered from `player`'s lowest value
-    up; and the classes where `player`'s value is positive."""
+    configuration's value class, numbered from `player`'s lowest value up;
+    each class's members; and the classes where `player`'s value is positive."""
     if player:
         game = dual_game(game)
     # Values are told apart by (numerator, denominator), which hashes far
     # faster than a Fraction.
-    keys = [(x.numerator, x.denominator) for x in values]
-    levels = sorted(dict(zip(keys, values)).items(), key=lambda level: level[1],
-                    reverse=bool(player))
-    number = {key: k for k, (key, _) in enumerate(levels)}
-    lost = (ZERO, ONE)[player]
-    return (game, tuple(number[key] for key in keys),
-            [k for k, (_, r) in enumerate(levels) if r != lost])
+    members: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+    for v, x in enumerate(values):
+        members[x.numerator, x.denominator].append(v)
+    classes = sorted(members.values(), key=lambda cls: values[cls[0]], reverse=bool(player))
+    number = {v: k for k, cls in enumerate(classes) for v in cls}
+    rank = tuple(number[v] for v in range(len(values)))
+    lost = bool(classes) and values[classes[0][0]] == (ZERO, ONE)[player]
+    return game, rank, classes, range(lost, len(classes))
 
 
 def _keeps_values(game: ObligationGame, rank: tuple[int, ...],
-                  classes: list[int]) -> Optional[dict[int, int]]:
-    """Player 0's moves winning the class game of each of `classes` almost
-    surely from all of its class, in `game`, a restriction of Player 0's
-    moves in a game whose value classes are `rank` (``_player_view``);
-    None if some class game is not won so.
+                  cls: Sequence[int]) -> Optional[dict[int, int]]:
+    """Player 0's moves winning the class game of `cls` almost surely from
+    all of the class, in `game`, a restriction of Player 0's moves in a
+    game whose value classes are `rank` (``_player_view``); None if the
+    class game is not won so.
 
     The restriction keeps the values exactly when such moves exist for
     every class of positive value.  If they do, the values of the play's
@@ -702,17 +704,12 @@ def _keeps_values(game: ObligationGame, rank: tuple[int, ...],
     one class, and in a class of positive value the parity objective is
     then won almost surely; conversely an optimal strategy of a
     restriction that keeps the values wins each class game so.  A class
-    game depends only on the moves inside its class, and it is solved on
-    the class and its settled successors; the moves returned lie in the
-    classes.  No linear system is solved.
+    game depends only on the moves inside its class, and it is built and
+    solved on the class and its members' successors (``_class_game``);
+    the moves returned lie in the class.  No linear system is solved.
     """
-    moves: dict[int, int] = {}
-    for k in classes:
-        cls, won, choices = _win_class(_class_game(game, rank, k), rank, k)
-        if not cls <= won:
-            return None
-        moves.update(choices)
-    return moves
+    won, moves = _as_strategy(*_class_game(game, rank, cls))
+    return moves if won.issuperset(cls) else None
 
 
 def _canonical_strategy(game: ObligationGame, values: Values,
@@ -747,12 +744,11 @@ def _canonical_strategy(game: ObligationGame, values: Values,
 
     The finished strategy is certified: for each class of positive value
     r for `player`, it must win that class game almost surely from every
-    configuration of value at least r (``_certify_as``), which proves by
-    the argument of ``_keeps_values`` that it secures the values.  A
-    failure raises InternalInvariantError.
+    configuration of its arena of value at least r (``_certify_as``),
+    which proves by the argument of ``_keeps_values`` that it secures the
+    values.  A failure raises InternalInvariantError.
     """
-    seen, rank, classes = _player_view(game, values, player)
-    class_games = {k: _class_game(seen, rank, k) for k in classes}
+    seen, rank, classes, positive = _player_view(game, values, player)
     held: dict[int, Optional[dict[int, int]]] = {}
     choices: dict[int, int] = {}
     for v in _player_states(game, (Owner.PLAYER0, Owner.PLAYER1)[player]):
@@ -761,16 +757,16 @@ def _canonical_strategy(game: ObligationGame, values: Values,
         if not same:
             raise InternalInvariantError(f"no choice at {game.names[v]} keeps the values")
         u = same[0]
-        if k in classes and len(same) > 1:
+        if k in positive and len(same) > 1:
             if k not in held:
-                cls, won, moves = _win_class(class_games[k], rank, k)
-                agrees = cls <= won and all(moves.get(w) == choices[w]
-                                            for w in cls if w in choices)
+                won, moves = _as_strategy(*_class_game(seen, rank, classes[k]))
+                agrees = won.issuperset(classes[k]) and all(
+                    moves.get(w) == choices[w] for w in classes[k] if w in choices)
                 held[k] = moves if agrees else None
             for u in same[:-1]:
                 if held[k] is not None and held[k].get(v) == u:
                     break
-                moves = _keeps_values(restrict_choice(seen, {**choices, v: u}), rank, [k])
+                moves = _keeps_values(restrict_choice(seen, {**choices, v: u}), rank, classes[k])
                 if moves is not None:
                     held[k] = moves
                     break
@@ -779,9 +775,10 @@ def _canonical_strategy(game: ObligationGame, values: Values,
         choices[v] = u
         if held.get(k) is not None and held[k].get(v) != u:
             held[k] = None
-    for k in classes:
-        _certify_as(class_games[k], frozenset(v for v in range(len(game)) if rank[v] >= k),
-                    {v: u for v, u in choices.items() if rank[v] == k})
+    for k in positive:
+        class_game, arena = _class_game(seen, rank, classes[k])
+        _certify_as(class_game, frozenset(v for v in arena if rank[v] >= k),
+                    {v: choices[v] for v in classes[k] if v in choices})
     return PureMemorylessStrategy.from_dict(player, choices)
 
 

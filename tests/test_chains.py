@@ -308,6 +308,17 @@ def test_monitor_size_bound():
     assert len(gamma) <= len(game) * (k + 1) + 1
 
 
+@pytest.mark.parametrize("priority", [[0], [0, 1, 1]], ids=["short", "long"])
+def test_a_priority_map_of_the_wrong_length_is_rejected(priority):
+    chain = make_chain(["s", "t"], {"s": {"t": ONE}, "t": {"t": ONE}}, initial="s")
+    for call in (lambda: bscc_decompose(chain.succ, priority),
+                 lambda: parity_measure(chain.succ, priority),
+                 lambda: monte_carlo_estimate(chain, ParityObjective(tuple(priority)),
+                                              samples=10)):
+        with pytest.raises(InputFormatError, match="priority map must cover every location"):
+            call()
+
+
 def test_monte_carlo_is_deterministic_given_seed():
     chain = make_chain(["s", "t", "u"],
                        {"s": {"t": F(1, 3), "u": F(2, 3)},

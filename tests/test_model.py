@@ -6,9 +6,9 @@ import pytest
 
 from obg import (InputFormatError, Obligation, Owner, dual_game,
                  embed_chain_as_game, format_rational, make_chain, make_game,
-                 parse_rational, solve_parity, validate)
-from obg.model import (ONE, ObligationGame, explore_game, game_from_rows,
-                       restrict_choice, settle)
+                 parse_rational, solve_parity, validate, validate_chain)
+from obg.model import (ONE, LabeledMarkovChain, ObligationGame, explore_game,
+                       game_from_rows, restrict_choice, settle)
 import obg.obligations as obligations
 
 from conftest import load_game
@@ -34,6 +34,14 @@ def test_bare_numbers_are_rejected():
         parse_rational(0.5)  # type: ignore[arg-type]
     with pytest.raises(InputFormatError):
         parse_rational(1)  # type: ignore[arg-type]
+
+
+def test_validate_chain_names_an_out_of_range_successor_by_its_index():
+    chain = LabeledMarkovChain(names=("a",), succ=(((0, ONE), (5, F(0))),),
+                               labels=(frozenset(),), initial=0)
+    assert validate_chain(chain) == [
+        "location a has successor index 5 out of range",
+        "location a lists successor 5 with non-positive probability 0"]
 
 
 def test_obligation_dual_flips_strictness():

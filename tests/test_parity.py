@@ -841,7 +841,8 @@ def random_restriction(game, owner, rng):
 
 
 def assert_keep_test_is_exact(game, trial, values, player):
-    keeps = parity_mod._keeps_values(*parity_mod._player_view(trial, values, player)) is not None
+    seen, rank, classes, positive = parity_mod._player_view(trial, values, player)
+    keeps = all(parity_mod._keeps_values(seen, rank, classes[k]) is not None for k in positive)
     assert keeps == (parity_mod.solve_values(trial) == values)
     return keeps
 
@@ -1059,19 +1060,20 @@ def reference_canonical_strategy(game, values, player):
     """The test-every-candidate loop: each choice with more than one
     candidate of a class of positive value runs keep tests until one
     passes, and the last candidate is taken untested."""
-    seen, rank, classes = parity_mod._player_view(game, values, player)
+    seen, rank, classes, positive = parity_mod._player_view(game, values, player)
     choices = {}
     for v in parity_mod._player_states(game, (Owner.PLAYER0, Owner.PLAYER1)[player]):
         same = [u for u in game.succ[v] if rank[u] == rank[v]]
         if not same:
             raise InternalInvariantError(f"no choice at {game.names[v]} keeps the values")
-        if rank[v] not in classes:
+        if rank[v] not in positive:
             same = same[:1]
         choices[v] = next((u for u in same[:-1] if parity_mod._keeps_values(
-            restrict_choice(seen, {**choices, v: u}), rank, [rank[v]]) is not None), same[-1])
-    for k in classes:
-        parity_mod._certify_as(parity_mod._class_game(seen, rank, k),
-                               frozenset(v for v in range(len(game)) if rank[v] >= k),
+            restrict_choice(seen, {**choices, v: u}), rank, classes[rank[v]]) is not None),
+            same[-1])
+    for k in positive:
+        class_game, arena = parity_mod._class_game(seen, rank, classes[k])
+        parity_mod._certify_as(class_game, frozenset(v for v in arena if rank[v] >= k),
                                {v: u for v, u in choices.items() if rank[v] == k})
     return PureMemorylessStrategy.from_dict(player, choices)
 
@@ -1099,6 +1101,67 @@ def test_held_strategies_halve_the_keep_tests_of_a_large_game(monkeypatch):
     run = len(tests)
     assert [parity_mod._canonical_strategy(game, values, p) for p in (0, 1)] == reference
     assert (run, len(tests) - run) == (16, 8)
+
+
+# ---------------------------------------------------------------------------
+# Class games: each is built from its own class, and solves as the game with
+# everything outside the class settled does.
+
+
+def whole_class_game(game, rank, cls, boundary_won):
+    """The class game of `cls` with every configuration outside the class
+    settled, as won above it and as lost below, and each chance member
+    with a successor outside it settled as `boundary_won`."""
+    k = rank[cls[0]]
+    settled = {v: rank[v] > k for v in range(len(game)) if rank[v] != k}
+    settled.update((v, boundary_won) for v in cls if game.owners[v] is Owner.PROBABILISTIC
+                   and any(rank[u] != k for u in game.succ[v]))
+    return settle(game, settled)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+@example(FRACTIONAL_SEEDS[0])
+def test_class_games_solve_as_the_whole_game_class_games(seed):
+    primal = random_parity_game(random.Random(seed), max_configs=30)
+    for game in (primal, dual_game(primal)):
+        values = parity_mod.solve_values(game)
+        for player in (0, 1):
+            seen, rank, classes, _ = parity_mod._player_view(game, values, player)
+            for cls in classes:
+                members = frozenset(cls)
+                for boundary_won in (True, False):
+                    reference = whole_class_game(seen, rank, cls, boundary_won)
+                    arena = members.union(*(reference.succ[v] for v in members))
+                    class_game = parity_mod._class_game(seen, rank, cls, boundary_won)
+                    assert class_game[1] == arena
+                    assert parity_mod._as_strategy(*class_game) == \
+                        parity_mod._as_strategy(reference, arena)
+
+
+def test_class_games_touch_only_their_class_and_its_successors(monkeypatch):
+    # 192 configurations, 27 value classes, and both sides take class
+    # steps on their residual games.  The 122 class games, of the
+    # residual games in the class steps and of the game in the witnesses,
+    # read 1785 configurations; settling all of each game, as a class
+    # game once did, touches 22008.
+    game = random_parity_game(random.Random(536), max_configs=200, max_priority=5)
+    class_game, built = parity_mod._class_game, []
+
+    def recording(game, rank, cls, boundary_won=True):
+        result = class_game(game, rank, cls, boundary_won)
+        built.append((len(game), result[1],
+                      frozenset(cls).union(*(game.succ[v] for v in cls))))
+        return result
+
+    monkeypatch.setattr(parity_mod, "_class_game", recording)
+    steps = count_calls(monkeypatch, "_class_step")
+    values = solve_parity(game).values
+    assert (len(game), len(set(values))) == (192, 27)
+    assert steps
+    assert all(arena <= bound for _, arena, bound in built)
+    assert (len(built), sum(len(arena) for _, arena, _ in built),
+            sum(size for size, _, _ in built)) == (122, 1785, 22008)
 
 
 def beaten(game, certificate, player, config, value):
