@@ -42,8 +42,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from obg import (Budgets, ObgError, ParityObjective, accepts,  # noqa: E402
-                 bscc_decompose, decide_value, dual_game, find_best_dependency,
+from obg import (Budgets, ObgError, accepts, bscc_decompose,  # noqa: E402
+                 decide_value, dual_game, find_best_dependency,
                  monte_carlo_estimate, parity_measure, reach_probability,
                  solve_parity)
 from obg.generators import (THRESHOLDS, random_automaton,  # noqa: E402
@@ -125,8 +125,7 @@ def chain_results(chain, priority, target, avoid, seed) -> tuple:
     rows = chain.succ
     return (parity_measure(rows, priority), reach_probability(rows, target, avoid),
             bscc_decompose(rows, priority),
-            monte_carlo_estimate(chain, ParityObjective(tuple(priority)),
-                                 samples=200, seed=seed))
+            monte_carlo_estimate(chain, priority, samples=200, seed=seed))
 
 
 def chain_lines(seed: int):

@@ -11,9 +11,8 @@ import sys as _sys
 
 _EXPORTS = {
     "budgets": ("DEFAULT_BUDGETS", "Budgets"),
-    "chains": ("BsccDecomposition", "McEstimate", "ParityObjective",
-               "bscc_decompose", "monte_carlo_estimate", "parity_measure",
-               "reach_probability"),
+    "chains": ("BsccDecomposition", "McEstimate", "bscc_decompose",
+               "monte_carlo_estimate", "parity_measure", "reach_probability"),
     "errors": ("BudgetExceededError", "InputFormatError",
                "InternalInvariantError", "ObgError", "OracleInfeasibleError"),
     "graphs": (),
@@ -26,8 +25,8 @@ _EXPORTS = {
                     "SolveContext", "ValueDecision", "build_gamma_game",
                     "check_condition1", "check_condition2", "check_condition3",
                     "decide_value", "find_best_dependency", "gamma_value",
-                    "solve_chain_obligations", "value_of_prefix",
-                    "values_given_dependency", "verify_dependency"),
+                    "value_of_prefix", "values_given_dependency",
+                    "verify_dependency"),
     "parity": ("ThresholdDecision", "ValueVector", "decide_parity_threshold",
                "induce_chain", "solve_parity", "solve_parity_oracle"),
     "pautomata": ("And", "AutomatonGraph", "Formula", "Or", "PAutomaton",

@@ -11,7 +11,13 @@ denominators, and passes the system to
 :func:`linalg.solve_linear_system`, which takes integer rows only; the
 zero-set elimination guarantees a nonsingular system.  The parity measure is the
 probability of reaching the union of accepting bottom SCCs (minimal
-priority even).
+priority even).  The bottom-SCC decomposition, the parity measure and
+the Monte-Carlo estimate take the priorities as a sequence indexed by
+location.
+
+A chain with obligations is solved as a game, not here:
+``model.embed_chain_as_game`` makes each of its locations a chance
+configuration, and ``obligations.find_best_dependency`` solves that game.
 
 Monte-Carlo estimation is a statistical cross-check only and never
 feeds solver decisions; it is the one place floats are allowed.
@@ -137,11 +143,6 @@ def parity_measure(rows: Rows, priority: Sequence[int]) -> list[Fraction]:
 
 
 @dataclass(frozen=True)
-class ParityObjective:
-    priority: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class McEstimate:
     successes: int
     samples: int
@@ -167,11 +168,11 @@ def wilson_interval(successes: int, samples: int, z: float = Z99) -> tuple[float
 
 
 def monte_carlo_estimate(mc: LabeledMarkovChain,
-                         objective: ParityObjective,
+                         priority: Sequence[int],
                          samples: int,
                          seed: int = 0) -> McEstimate:
-    """Seeded simulation estimate, from the initial location, with a 99%
-    Wilson interval.
+    """Seeded simulation estimate of the min-even parity objective under
+    ``priority``, from the initial location, with a 99% Wilson interval.
 
     A run is classified as soon as the walk enters a bottom SCC
     (entering one decides the parity class almost surely); runs still
@@ -190,7 +191,7 @@ def monte_carlo_estimate(mc: LabeledMarkovChain,
             thresholds.append((acc, t))
         cumulative.append(thresholds)
 
-    dec = bscc_decompose(mc.succ, objective.priority)
+    dec = bscc_decompose(mc.succ, priority)
     verdict_of: dict[int, bool] = {}
     for comp, acc in zip(dec.components, dec.accepting):
         for v in comp:

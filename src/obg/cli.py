@@ -23,14 +23,13 @@ from typing import Optional
 # call them, so that every other subcommand starts without loading them.
 from . import io_formats
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .chains import ParityObjective, monte_carlo_estimate, parity_measure
+from .chains import monte_carlo_estimate, parity_measure
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError, ObgError)
 from .model import (ONE, ObligationGame, dual_game, embed_chain_as_game,
                     format_rational, parse_rational)
 from .obligations import (ObligationValueReport, decide_value,
-                          find_best_dependency, solve_chain_obligations,
-                          verify_dependency)
+                          find_best_dependency, verify_dependency)
 from .parity import oracle_pair_count, solve_parity, solve_parity_oracle
 
 EXIT_OK = 0
@@ -49,16 +48,31 @@ def _read(path: str) -> str:
         raise InputFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _load_obligation_game(path: str) -> ObligationGame:
-    """A game from either a game file or a chain file with priorities."""
+_GAME_KINDS = ("game", "chain")
+
+
+def _load_document(path: str, kinds: tuple[str, ...] = _GAME_KINDS
+                   ) -> io_formats.GameDocument | io_formats.ChainDocument:
+    """The game or chain document in ``path``, whose kind must be in ``kinds``.
+
+    The parsers are looked up in ``io_formats`` at each call, so a wrapper
+    put there after this module is imported sees every read.
+    """
     text = _read(path)
     kind = io_formats.detect_kind(text)
+    if kind not in kinds:
+        raise InputFormatError(f"expected a {' or '.join(kinds)} document, got {kind!r}")
     if kind == "game":
-        return io_formats.parse_game_document(text).game
-    if kind == "chain":
-        doc = io_formats.parse_chain_document(text)
-        return embed_chain_as_game(doc.chain, doc.priority_map(), doc.obligation_map())
-    raise InputFormatError(f"expected a game or chain document, got {kind!r}")
+        return io_formats.parse_game_document(text)
+    return io_formats.parse_chain_document(text)
+
+
+def _load_obligation_game(path: str, kinds: tuple[str, ...] = _GAME_KINDS) -> ObligationGame:
+    """The game in ``path``; a chain with priorities is embedded as one."""
+    doc = _load_document(path, kinds)
+    if isinstance(doc, io_formats.GameDocument):
+        return doc.game
+    return embed_chain_as_game(doc.chain, doc.priority_map(), doc.obligation_map())
 
 
 def _strategy_json(game: ObligationGame, strategy) -> Optional[dict]:
@@ -130,21 +144,11 @@ def _print_stats(args, document: dict) -> None:
 
 
 def cmd_solve_game(args) -> int:
+    """``solve-game``, and ``solve-chain``, which accepts chain files only."""
     budgets = _budgets(args)
-    game = _load_obligation_game(args.game)
+    game = _load_obligation_game(args.game, args.kinds)
     _, report = find_best_dependency(game, budgets=budgets,
                                      witnesses=not args.no_witnesses)
-    _print_report(report, args.format)
-    _print_stats(args, dict(report.stats))
-    return EXIT_OK
-
-
-def cmd_solve_chain(args) -> int:
-    budgets = _budgets(args)
-    doc = io_formats.parse_chain_document(_read(args.chain))
-    _, report = solve_chain_obligations(doc.chain, doc.priority_map(),
-                                        doc.obligation_map(), budgets=budgets,
-                                        witnesses=not args.no_witnesses)
     _print_report(report, args.format)
     _print_stats(args, dict(report.stats))
     return EXIT_OK
@@ -233,24 +237,19 @@ def cmd_export_dot(args) -> int:
         product, _ = build_product_game(aut, doc.chain)
         print(dot_export.export_game_dot(product), end="")
         return EXIT_OK
-    text = _read(args.input)
-    kind = io_formats.detect_kind(text)
-    if kind == "game":
-        print(dot_export.export_game_dot(io_formats.parse_game_document(text).game), end="")
-    elif kind == "chain":
-        doc = io_formats.parse_chain_document(text)
-        print(dot_export.export_chain_dot(doc.chain, doc.priority, doc.obligations), end="")
+    doc = _load_document(args.input)
+    if isinstance(doc, io_formats.GameDocument):
+        print(dot_export.export_game_dot(doc.game), end="")
     else:
-        raise InputFormatError(f"cannot export documents of kind {kind!r}")
+        print(dot_export.export_chain_dot(doc.chain, doc.priority, doc.obligations), end="")
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     budgets = _budgets(args)
-    text = _read(args.input)
-    kind = io_formats.detect_kind(text)
-    if kind == "game":
-        game = io_formats.parse_game_document(text).game
+    doc = _load_document(args.input)
+    if isinstance(doc, io_formats.GameDocument):
+        game = doc.game
         if any(o is not None for o in game.obligation):
             raise InputFormatError(
                 "the oracle compares parity solvers; strip obligations first")
@@ -265,25 +264,21 @@ def cmd_oracle(args) -> int:
         }
         print(io_formats.dumps(out), end="")
         return EXIT_OK if agree else EXIT_INVARIANT
-    if kind == "chain":
-        doc = io_formats.parse_chain_document(text)
-        priority = list(doc.priority or ())
-        if not priority:
-            raise InputFormatError("chain file carries no priorities")
-        exact = parity_measure(doc.chain.succ, priority)
-        estimate = monte_carlo_estimate(doc.chain, ParityObjective(tuple(priority)),
-                                        samples=args.samples, seed=args.seed)
-        out = {
-            "exact": format_rational(exact[doc.chain.initial]),
-            "estimate": estimate.estimate,
-            "wilson_99": [estimate.wilson_low, estimate.wilson_high],
-            "samples": estimate.samples,
-            "seed": estimate.seed,
-            "inside_interval": estimate.contains(exact[doc.chain.initial]),
-        }
-        print(io_formats.dumps(out), end="")
-        return EXIT_OK
-    raise InputFormatError(f"cannot run the oracle on documents of kind {kind!r}")
+    if doc.priority is None:
+        raise InputFormatError("chain file carries no priorities")
+    exact = parity_measure(doc.chain.succ, doc.priority)
+    estimate = monte_carlo_estimate(doc.chain, doc.priority,
+                                    samples=args.samples, seed=args.seed)
+    out = {
+        "exact": format_rational(exact[doc.chain.initial]),
+        "estimate": estimate.estimate,
+        "wilson_99": [estimate.wilson_low, estimate.wilson_high],
+        "samples": estimate.samples,
+        "seed": estimate.seed,
+        "inside_interval": estimate.contains(exact[doc.chain.initial]),
+    }
+    print(io_formats.dumps(out), end="")
+    return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
@@ -359,19 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "and p-automaton acceptance of Markov chains.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve-game", help="solve a game file")
-    p.add_argument("game")
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("--no-witnesses", action="store_true")
-    _add_search_flags(p)
-    p.set_defaults(func=cmd_solve_game)
-
-    p = sub.add_parser("solve-chain", help="solve a chain file with priorities/obligations")
-    p.add_argument("chain")
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("--no-witnesses", action="store_true")
-    _add_search_flags(p)
-    p.set_defaults(func=cmd_solve_chain)
+    for command, metavar, kinds, help_text in (
+            ("solve-game", "game", _GAME_KINDS, "solve a game file"),
+            ("solve-chain", "chain", ("chain",),
+             "solve a chain file with priorities/obligations")):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("game", metavar=metavar)
+        p.add_argument("--format", choices=("json", "table"), default="table")
+        p.add_argument("--no-witnesses", action="store_true")
+        _add_search_flags(p)
+        p.set_defaults(func=cmd_solve_game, kinds=kinds)
 
     p = sub.add_parser("verify", help="check a dependency certificate")
     p.add_argument("game")

@@ -8,7 +8,9 @@ ordering within each run.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable, TypeVar
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 def tarjan_scc(num_nodes: int, successors: Callable[[int], Iterable[int]]) -> list[list[int]]:
@@ -77,8 +79,8 @@ def condensation_topo_order(num_nodes: int,
     return comps, comp_of
 
 
-def reachable_from(start: Iterable[int], successors: Callable[[int], Iterable[int]]) -> set[int]:
-    """Forward reachability (including the start nodes)."""
+def reachable_from(start: Iterable[Node], successors: Callable[[Node], Iterable[Node]]) -> set[Node]:
+    """Forward reachability (including the start nodes) over any hashable nodes."""
     seen = set(start)
     frontier = list(start)
     while frontier:

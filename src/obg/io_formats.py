@@ -322,9 +322,7 @@ def parse_dependency_document(text: str, game: ObligationGame) -> Dependency:
             pairs.append((game.index(item[0]),
                           require_int(item[1], f"dependency of {name}: priority")))
         mapping[v] = pairs
-    for v in game.obligation_indices():
-        mapping.setdefault(v, None)
-    return Dependency.from_mapping(game, mapping)
+    return Dependency.from_mapping(game, mapping)  # an omitted obligation is bottom
 
 
 def dependency_document_json(dep: Dependency, game: ObligationGame) -> dict:

@@ -42,6 +42,10 @@ one configuration's measure to the least one at which those references
 pass its threshold.  The fixpoint is unique, its met-set is the maximal
 one, and the reported certificate is the least measure's consistent
 pairs.
+
+A Markov chain with obligations has no entry point of its own: it is
+the game ``model.embed_chain_as_game`` makes of it, every configuration
+a chance configuration, and is solved as any other game.
 """
 
 from __future__ import annotations
@@ -54,9 +58,9 @@ from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import (BudgetExceededError, InputFormatError,
                      InternalInvariantError)
-from .model import (ONE, ZERO, ConfigRow, LabeledMarkovChain, Obligation,
-                    ObligationGame, Owner, dual_game, embed_chain_as_game,
-                    explore_game, format_rational, settle)
+from .graphs import reachable_from
+from .model import (ONE, ZERO, ConfigRow, Obligation, ObligationGame, Owner,
+                    dual_game, explore_game, format_rational, settle)
 from .parity import Values, ValueVector, solve_values, value_vector
 
 Pair = tuple[int, int]  # (target obligation configuration, priority label)
@@ -253,18 +257,17 @@ def reachable_pairs(game: ObligationGame, start: int, *,
     if not game.succ[start]:
         raise InternalInvariantError(
             f"monitor start {game.names[start]} has no successor")
-    stack = [(t, game.priority[t]) for t in game.succ[start]]
-    seen = set(stack)
-    while stack:
-        config, m = stack.pop()
-        if game.obligation[config] is None:
-            for t in game.succ[config]:
-                node = (t, min(m, game.priority[t]))
-                if node not in seen:
-                    seen.add(node)
-                    stack.append(node)
+    obligation, priority, succ = game.obligation, game.priority, game.succ
+
+    def successors(node: Pair) -> list[Pair]:
+        config, m = node
+        if obligation[config] is not None:  # a frozen pair
+            return []
+        return [(t, min(m, priority[t])) for t in succ[config]]
+
+    seen = reachable_from([(t, priority[t]) for t in succ[start]], successors)
     pairs = ctx.pairs[start] = frozenset(
-        node for node in seen if game.obligation[node[0]] is not None)
+        node for node in seen if obligation[node[0]] is not None)
     return pairs
 
 
@@ -632,17 +635,6 @@ def decide_value(game: ObligationGame, config: int, cmp: str, threshold: Fractio
     value = rep0.values[config]
     return ValueDecision(verdict=ob.holds(value), value=value,
                          primal=(dep0, rep0), dual=(dep1, rep1))
-
-
-def solve_chain_obligations(mc: LabeledMarkovChain,
-                            priority: Mapping[str, int] | Sequence[int],
-                            obligations: Mapping[str, Obligation] | None = None,
-                            *, budgets: Budgets = DEFAULT_BUDGETS,
-                            witnesses: bool = True
-                            ) -> tuple[Dependency, ObligationValueReport]:
-    """Solve a Markov chain with obligations by embedding it as a game."""
-    game = embed_chain_as_game(mc, priority, obligations)
-    return find_best_dependency(game, budgets=budgets, witnesses=witnesses)
 
 
 def value_of_prefix(report: ObligationValueReport, prefix: Sequence[str]) -> Fraction:

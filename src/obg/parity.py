@@ -95,7 +95,7 @@ from .chains import Rows, parity_measure, reach_probability
 from .errors import (InputFormatError, InternalInvariantError,
                      OracleInfeasibleError)
 from .graphs import tarjan_scc
-from .model import (GE, GT, ONE, OPPONENT, ZERO, ObligationGame, Owner,
+from .model import (ONE, OPPONENT, ZERO, Obligation, ObligationGame, Owner,
                     PureMemorylessStrategy, dual_game, game_from_rows,
                     restrict_choice, settle)
 
@@ -874,16 +874,13 @@ def decide_parity_threshold(game: ObligationGame, config: int, cmp: str,
     value of fixing it (on the dual game for Player 1), which must secure
     the value at `config` against every opposing strategy.
     """
-    if cmp not in (GE, GT):
-        raise InputFormatError("comparator must be '>=' or '>'")
     if not 0 <= config < len(game):
         raise InputFormatError(
             f"configuration index {config} is out of range for {len(game)} configurations")
-    if not (ZERO <= threshold <= ONE):
-        raise InputFormatError("threshold must lie in [0,1]")
+    query = Obligation(cmp, threshold)  # validates the comparator and the threshold
     values = solve_values(game)
     value = values[config]
-    verdict = value >= threshold if cmp == GE else value > threshold
+    verdict = query.holds(value)
     player = 0 if verdict else 1
     certificate = _canonical_strategy(game, values, player)
     if player == 0:

@@ -150,6 +150,13 @@ def validate_automaton(aut: PAutomaton) -> list[str]:
         problems.append("automaton needs at least one state")
     if len(aut.propositions) > 12:
         problems.append("more than 12 atomic propositions; the alphabet would be huge")
+    # a letter's key joins its sorted propositions with "," (io_formats)
+    for p in sorted(set(aut.propositions)):
+        if aut.propositions.count(p) > 1:
+            problems.append(f"proposition {p!r} is listed twice")
+        if p == "" or "," in p:
+            problems.append(f"proposition {p!r} is empty or contains ','; "
+                            "no letter key could name it")
     known = set(aut.states)
     for q in aut.states:
         if q not in aut.priority:

@@ -11,11 +11,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from obg import (Dependency, ParityObjective, accepts, build_gamma_game,
-                 dual_game, embed_chain_as_game, find_best_dependency,
+from obg import (Dependency, accepts, build_gamma_game, dual_game,
+                 embed_chain_as_game, find_best_dependency,
                  monte_carlo_estimate, parity_measure, reach_probability,
-                 solve_chain_obligations, solve_parity, solve_parity_oracle,
-                 values_given_dependency, verify_dependency)
+                 solve_parity, solve_parity_oracle, values_given_dependency,
+                 verify_dependency)
 from obg.generators import random_chain, random_game, random_parity_game
 from obg.model import ONE, ZERO
 
@@ -111,12 +111,12 @@ def test_criterion_2_fig6_variants():
 
 def test_criterion_3_fig2_reproduction():
     lose = load_chain_doc("fig2_losing_path.chain.json")
-    _, report = solve_chain_obligations(lose.chain, lose.priority_map(),
-                                        lose.obligation_map(), witnesses=False)
+    _, report = find_best_dependency(embed_chain_as_game(
+        lose.chain, lose.priority_map(), lose.obligation_map()), witnesses=False)
     ok = (report.value_of("s2") == ZERO and report.value_of("s1") == HALF)
     win = load_chain_doc("fig2_all_winning.chain.json")
-    _, report = solve_chain_obligations(win.chain, win.priority_map(),
-                                        win.obligation_map(), witnesses=False)
+    _, report = find_best_dependency(embed_chain_as_game(
+        win.chain, win.priority_map(), win.obligation_map()), witnesses=False)
     ok &= report.value_of("s1") == ONE
     report_line(3, ok, "fig2: losing path gives s2=0 and s1=1/2; "
                        "all-winning gives s1=1")
@@ -214,7 +214,7 @@ def test_criterion_11_monte_carlo_consistency():
     for i in range(MC_CHAINS):
         chain, priority = random_chain(rng)
         exact = parity_measure(chain.succ, priority)[chain.initial]
-        estimate = monte_carlo_estimate(chain, ParityObjective(tuple(priority)),
+        estimate = monte_carlo_estimate(chain, priority,
                                         samples=MC_SAMPLES, seed=1000 + i)
         if not estimate.contains(exact):
             failures += 1

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obg import (InputFormatError, ParityObjective, bscc_decompose,
-                 build_gamma_game, embed_chain_as_game, make_chain,
-                 monte_carlo_estimate, parity_measure, reach_probability)
+from obg import (InputFormatError, bscc_decompose, build_gamma_game,
+                 embed_chain_as_game, make_chain, monte_carlo_estimate,
+                 parity_measure, reach_probability)
 from obg.generators import random_chain
 from obg.io_formats import ChainDocument, parse_chain_document, serialize_chain_document
 from obg.model import ONE, ZERO
@@ -313,8 +313,7 @@ def test_a_priority_map_of_the_wrong_length_is_rejected(priority):
     chain = make_chain(["s", "t"], {"s": {"t": ONE}, "t": {"t": ONE}}, initial="s")
     for call in (lambda: bscc_decompose(chain.succ, priority),
                  lambda: parity_measure(chain.succ, priority),
-                 lambda: monte_carlo_estimate(chain, ParityObjective(tuple(priority)),
-                                              samples=10)):
+                 lambda: monte_carlo_estimate(chain, priority, samples=10)):
         with pytest.raises(InputFormatError, match="priority map must cover every location"):
             call()
 
@@ -323,15 +322,15 @@ def test_monte_carlo_is_deterministic_given_seed():
     chain = make_chain(["s", "t", "u"],
                        {"s": {"t": F(1, 3), "u": F(2, 3)},
                         "t": {"t": ONE}, "u": {"u": ONE}}, initial="s")
-    obj = ParityObjective((0, 0, 1))
-    assert parity_measure(chain.succ, obj.priority)[chain.initial] == F(1, 3)
-    a = monte_carlo_estimate(chain, obj, samples=2000, seed=5)
-    b = monte_carlo_estimate(chain, obj, samples=2000, seed=5)
+    priority = (0, 0, 1)
+    assert parity_measure(chain.succ, priority)[chain.initial] == F(1, 3)
+    a = monte_carlo_estimate(chain, priority, samples=2000, seed=5)
+    b = monte_carlo_estimate(chain, priority, samples=2000, seed=5)
     assert a == b
     assert a.contains(F(1, 3))
 
 
 def test_monte_carlo_measure_one_objective():
     chain = make_chain(["s"], {"s": {"s": ONE}}, initial="s")
-    est = monte_carlo_estimate(chain, ParityObjective((0,)), samples=500, seed=1)
+    est = monte_carlo_estimate(chain, (0,), samples=500, seed=1)
     assert est.estimate == 1.0

@@ -116,6 +116,20 @@ def test_dependency_null_versus_empty_is_preserved():
     assert io_formats.serialize_dependency_document(dep, game) == text
 
 
+def test_a_dependency_document_that_omits_an_obligation_reads_it_as_bottom():
+    game = load_game("fig6_s4_geq.game.json")
+
+    def parse(dependencies: dict):
+        text = io_formats.dumps({"format": "obg-v1", "kind": "dependency",
+                                 "dependencies": dependencies})
+        return io_formats.parse_dependency_document(text, game)
+
+    dep = parse({"s1": []})
+    assert dep.get(game.index("s1")) == frozenset()
+    assert dep.get(game.index("s4")) is None
+    assert dep == parse({"s1": [], "s4": None})
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -211,6 +225,59 @@ def test_stats_flag_changes_only_stderr(monkeypatch):
         assert all(sorted(side) == counters and all(type(n) is int for n in side.values())
                    for side in sides), argv
         assert run_main(argv + ["--stats"])[2] == stats_err
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.chain.json")))
+def test_solve_chain_prints_what_solve_game_prints(name):
+    # chains without priorities exit 2 from both, with the same message
+    for options in (["--format", "table"], ["--format", "json"]):
+        for witnesses in ([], ["--no-witnesses"]):
+            argv = [fixture_path(name), *options, *witnesses, "--stats"]
+            assert run_main(["solve-chain", *argv]) == run_main(["solve-game", *argv])
+
+
+@pytest.mark.parametrize("name", ["fig6.dependency.json", "until.paut.json"])
+@pytest.mark.parametrize("command", ["solve-game", "solve-chain", "export-dot", "oracle"])
+def test_game_and_chain_commands_reject_other_kinds(command, name):
+    code, out, err = run_main([command, fixture_path(name)])
+    kind = io_formats.detect_kind(fixture_text(name))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expected a ") and err.endswith(f" document, got {kind!r}\n")
+
+
+def test_solve_chain_rejects_a_game_file():
+    assert run_main(["solve-chain", fixture_path("fig6.game.json")]) == \
+        (2, "", "error: expected a chain document, got 'game'\n")
+
+
+def test_every_cli_read_reaches_the_io_formats_parsers(monkeypatch):
+    # the parsers are looked up in io_formats when a command runs, so a
+    # wrapper put there after obg.cli is imported counts every read
+    reads = []
+    for name in ("parse_game_document", "parse_chain_document"):
+        def counted(text, *args, _name=name, _parse=getattr(io_formats, name)):
+            reads.append(_name)
+            return _parse(text, *args)
+        monkeypatch.setattr(io_formats, name, counted)
+    game, chain = fixture_path("fig6.game.json"), fixture_path("fig1.chain.json")
+    aut, labelled = fixture_path("until.paut.json"), fixture_path("two_location.chain.json")
+    game_read, chain_read = ["parse_game_document"], ["parse_chain_document"]
+    for argv, expected in [
+            (["solve-game", game], game_read),
+            (["solve-game", chain], chain_read),
+            (["solve-chain", chain], chain_read),
+            (["verify", game, fixture_path("fig6.dependency.json")], game_read),
+            (["decide", chain, "--config", "s1", "--cmp", ">=", "--threshold", "0"], chain_read),
+            (["export-dot", game], game_read),
+            (["export-dot", chain], chain_read),
+            (["export-dot", aut, labelled], chain_read),
+            (["oracle", fixture_path("parity_demo.game.json")], game_read),
+            (["oracle", chain, "--samples", "100"], chain_read),
+            (["paut", "accepts", aut, labelled], chain_read),
+            (["selftest", "--rounds", "1"], game_read)]:
+        reads.clear()
+        assert run_main(argv)[0] == 0, argv
+        assert reads == expected, argv
 
 
 def test_cli_verify_good_and_bad(capsys):

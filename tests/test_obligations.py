@@ -15,8 +15,7 @@ from obg import (BudgetExceededError, Dependency, InputFormatError,
                  build_product_game, check_condition1, check_condition2,
                  check_condition3, decide_value, dual_game,
                  embed_chain_as_game, find_best_dependency, gamma_value,
-                 make_chain, solve_chain_obligations, solve_parity,
-                 value_of_prefix, values_given_dependency, verify_dependency)
+                 make_chain, solve_parity, value_of_prefix, values_given_dependency, verify_dependency)
 import obg
 from obg.budgets import DEFAULT_BUDGETS, Budgets
 from obg.generators import (random_automaton, random_game,
@@ -627,8 +626,8 @@ def test_no_process_wide_memo_in_the_package():
 
 def test_solve_chain_fig1():
     doc = load_chain_doc("fig1.chain.json")
-    dep, report = solve_chain_obligations(doc.chain, doc.priority_map(),
-                                          doc.obligation_map(), witnesses=False)
+    game = embed_chain_as_game(doc.chain, doc.priority_map(), doc.obligation_map())
+    dep, report = find_best_dependency(game, witnesses=False)
     values = {doc.chain.names[i]: v for i, v in enumerate(report.values)}
     assert values["s2"] == ZERO
     assert values["s3"] == ONE
@@ -638,15 +637,15 @@ def test_solve_chain_fig1():
 def test_solve_chain_without_obligations_is_parity_measure():
     from obg import parity_measure
     doc = load_chain_doc("fig1.chain.json")
-    dep, report = solve_chain_obligations(doc.chain, doc.priority_map(), {},
-                                          witnesses=False)
+    game = embed_chain_as_game(doc.chain, doc.priority_map(), {})
+    dep, report = find_best_dependency(game, witnesses=False)
     assert list(report.values) == parity_measure(doc.chain.succ, list(doc.priority))
 
 
 def test_prefix_values_collapse_to_last_configuration():
     doc = load_chain_doc("fig1.chain.json")
-    _, report = solve_chain_obligations(doc.chain, doc.priority_map(),
-                                        doc.obligation_map(), witnesses=False)
+    game = embed_chain_as_game(doc.chain, doc.priority_map(), doc.obligation_map())
+    _, report = find_best_dependency(game, witnesses=False)
     assert value_of_prefix(report, ["s1", "s3"]) == ONE
     assert value_of_prefix(report, ["s1", "s2", "s4"]) == HALF
     with pytest.raises(InputFormatError):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -6,13 +7,14 @@ from hypothesis import strategies as st
 
 from obg import (InputFormatError, accepts, build_automaton_graph,
                  build_product_game, closure, dual_game, find_best_dependency,
-                 linalg, make_chain, reach_probability)
+                 io_formats, linalg, make_chain, reach_probability)
+from obg.cli import main
 from obg.model import ONE, ZERO, Owner
 from obg.budgets import Budgets
 from obg.pautomata import (FF, TT, And, Or, PAutomaton, StateAtom, Term,
                            closure_of_set, is_uniform, validate_automaton)
 
-from conftest import accepts_layered, load_automaton, load_chain_doc
+from conftest import FIXTURES, accepts_layered, load_automaton, load_chain_doc
 
 HALF = F(1, 2)
 
@@ -258,6 +260,39 @@ def test_validate_automaton_rejects_state_atom_in_initial():
     aut = PAutomaton(propositions=(), states=("q",), priority={"q": 0},
                      cases={}, default={"q": TT}, initial=StateAtom("q"))
     assert any("bare state atoms" in p for p in validate_automaton(aut))
+
+
+# A letter's key in a document joins its sorted propositions with ",", so
+# a letter key could not name these propositions: the empty and the comma
+# automaton each have two cases under one key.
+UNNAMEABLE = {
+    "duplicate": (("a", "b", "a"), [frozenset({"a"})], "proposition 'a' is listed twice"),
+    "empty": (("a", ""), [frozenset({""}), frozenset()],
+              "proposition '' is empty or contains ','; no letter key could name it"),
+    "comma": (("a", "b", "a,b"), [frozenset({"a", "b"}), frozenset({"a,b"})],
+              "proposition 'a,b' is empty or contains ','; no letter key could name it"),
+}
+
+
+@pytest.mark.parametrize("shape", UNNAMEABLE)
+def test_propositions_a_letter_key_cannot_name_are_rejected(shape, tmp_path, capsys):
+    propositions, letters, problem = UNNAMEABLE[shape]
+    aut = PAutomaton(propositions=propositions, states=("q",), priority={"q": 0},
+                     cases={"q": {letter: TT for letter in letters}}, default={"q": FF},
+                     initial=Term("q", ">=", HALF))
+    assert problem in validate_automaton(aut)
+    with pytest.raises(InputFormatError, match=re.escape(problem)):
+        accepts(aut, two_location())
+    text = io_formats.serialize_automaton_document(aut)
+    with pytest.raises(InputFormatError, match=re.escape(problem)):
+        io_formats.parse_automaton_document(text)
+    path = tmp_path / "aut.json"
+    path.write_text(text, encoding="utf-8")
+    chain = str(FIXTURES / "two_location.chain.json")
+    for argv in (["paut", "uniform", str(path)], ["paut", "accepts", str(path), chain]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and problem in err
 
 
 @given(st.integers(0, 10**6))
