@@ -47,8 +47,7 @@ def show(name: str, game) -> None:
 def main() -> None:
     for name in CHAINS:
         doc = io_formats.parse_chain_document((FIXTURES / name).read_text())
-        game = embed_chain_as_game(doc.chain, doc.priority_map(),
-                                   doc.obligation_map())
+        game = embed_chain_as_game(doc.chain, doc.priority, doc.obligations)
         show(name, game)
     for name in GAMES:
         game = io_formats.parse_game_document((FIXTURES / name).read_text()).game

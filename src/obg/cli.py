@@ -67,12 +67,18 @@ def _load_document(path: str, kinds: tuple[str, ...] = _GAME_KINDS
     return io_formats.parse_chain_document(text)
 
 
+def _chain_priority(doc: io_formats.ChainDocument) -> tuple[int, ...]:
+    if doc.priority is None:
+        raise InputFormatError("chain file carries no priorities")
+    return doc.priority
+
+
 def _load_obligation_game(path: str, kinds: tuple[str, ...] = _GAME_KINDS) -> ObligationGame:
     """The game in ``path``; a chain with priorities is embedded as one."""
     doc = _load_document(path, kinds)
     if isinstance(doc, io_formats.GameDocument):
         return doc.game
-    return embed_chain_as_game(doc.chain, doc.priority_map(), doc.obligation_map())
+    return embed_chain_as_game(doc.chain, _chain_priority(doc), doc.obligations)
 
 
 def _strategy_json(game: ObligationGame, strategy) -> Optional[dict]:
@@ -193,7 +199,7 @@ def cmd_decide(args) -> int:
         "dependency": io_formats.dependency_document_json(
             decision.primal[0], game)["dependencies"],
         "dual_dependency": io_formats.dependency_document_json(
-            decision.dual[0], dual_game(game))["dependencies"],
+            decision.dual[0], decision.dual[1].game)["dependencies"],
     }
     print(io_formats.dumps(out), end="")
     _print_stats(args, {"primal": dict(decision.primal[1].stats),
@@ -264,11 +270,9 @@ def cmd_oracle(args) -> int:
         }
         print(io_formats.dumps(out), end="")
         return EXIT_OK if agree else EXIT_INVARIANT
-    if doc.priority is None:
-        raise InputFormatError("chain file carries no priorities")
-    exact = parity_measure(doc.chain.succ, doc.priority)
-    estimate = monte_carlo_estimate(doc.chain, doc.priority,
-                                    samples=args.samples, seed=args.seed)
+    priority = _chain_priority(doc)
+    exact = parity_measure(doc.chain.succ, priority)
+    estimate = monte_carlo_estimate(doc.chain, priority, samples=args.samples, seed=args.seed)
     out = {
         "exact": format_rational(exact[doc.chain.initial]),
         "estimate": estimate.estimate,

@@ -9,6 +9,7 @@ Everything is a pure function of the supplied ``random.Random``.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -104,12 +105,8 @@ def random_automaton(rng: random.Random, *, max_states: int = 2,
 def random_labeled_chain(rng: random.Random, *,
                          max_locations: int = 4) -> LabeledMarkovChain:
     chain, _ = random_chain(rng, max_locations=max_locations)
-    labels = {name: (["a"] if rng.random() < 0.5 else [])
-              for name in chain.names}
-    return make_chain(chain.names,
-                      {chain.names[i]: {chain.names[t]: p for t, p in row}
-                       for i, row in enumerate(chain.succ)},
-                      labels=labels, initial=chain.names[chain.initial])
+    return replace(chain, labels=tuple(frozenset({"a"} if rng.random() < 0.5 else ())
+                                       for _ in chain.names))
 
 
 def random_chain(rng: random.Random, *, max_locations: int = 6,

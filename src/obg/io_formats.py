@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Container, Mapping, Optional, Sequence
 
 from .errors import InputFormatError
 from .model import (GE, GT, LabeledMarkovChain, Obligation, ObligationGame,
-                    Owner, format_rational, make_game, parse_rational,
+                    Owner, format_rational, make_chain, make_game, parse_rational,
                     require_int, validate, validate_chain)
 from .obligations import Dependency
 
@@ -42,14 +42,6 @@ class ChainDocument:
     priority: Optional[tuple[int, ...]]
     obligations: tuple[Optional[Obligation], ...]
     provenance: Optional[dict]
-
-    def priority_map(self) -> dict[str, int]:
-        if self.priority is None:
-            raise InputFormatError("chain file carries no priorities")
-        return {n: p for n, p in zip(self.chain.names, self.priority)}
-
-    def obligation_map(self) -> dict[str, Obligation]:
-        return {n: o for n, o in zip(self.chain.names, self.obligations) if o is not None}
 
 
 @dataclass(frozen=True)
@@ -142,7 +134,7 @@ def parse_chain_document(text: str) -> ChainDocument:
         raw_labels = entry.get("labels", [])
         if not (isinstance(raw_labels, list) and all(isinstance(a, str) for a in raw_labels)):
             raise InputFormatError(f"location {name}: labels must be an array of strings")
-        labels[name] = sorted(raw_labels)
+        labels[name] = raw_labels
         if "priority" in entry and entry["priority"] is not None:
             has_priorities = True
             priority = require_int(entry["priority"], f"location {name}: priority")
@@ -168,13 +160,7 @@ def parse_chain_document(text: str) -> ChainDocument:
     initial = data.get("initial")
     if not isinstance(initial, str) or initial not in index:
         raise InputFormatError('"initial" must name a location')
-    chain = LabeledMarkovChain(
-        names=tuple(names),
-        succ=tuple(tuple(sorted((index[t], p) for t, p in rows[n].items()))
-                   for n in names),
-        labels=tuple(frozenset(labels[n]) for n in names),
-        initial=index[initial],
-    )
+    chain = make_chain(names, rows, labels, initial)
     problems = validate_chain(chain)
     if problems:
         raise InputFormatError("invalid chain: " + "; ".join(problems))
@@ -406,8 +392,17 @@ def _parse_letter(key: str, propositions: Sequence[str], where: str) -> frozense
     return frozenset(parts)
 
 
+def _valid_automaton(aut: PAutomaton) -> PAutomaton:
+    from .pautomata import validate_automaton
+
+    problems = validate_automaton(aut)
+    if problems:
+        raise InputFormatError("invalid automaton: " + "; ".join(problems))
+    return aut
+
+
 def parse_automaton_document(text: str) -> PAutomaton:
-    from .pautomata import FF, PAutomaton, validate_automaton
+    from .pautomata import FF, PAutomaton
 
     data = loads(text)
     if data.get("kind") != "pautomaton":
@@ -450,16 +445,15 @@ def parse_automaton_document(text: str) -> PAutomaton:
                                        f"{_letter_key(letter)!r} twice")
             cases[q][letter] = _parse_formula(raw, f"transition of {q} under {key!r}")
     initial = _parse_formula(data.get("initial"), "initial condition")
-    aut = PAutomaton(propositions=tuple(propositions), states=tuple(states),
-                     priority=priority, cases=cases, default=default,
-                     initial=initial)
-    problems = validate_automaton(aut)
-    if problems:
-        raise InputFormatError("invalid automaton: " + "; ".join(problems))
-    return aut
+    return _valid_automaton(PAutomaton(
+        propositions=tuple(propositions), states=tuple(states), priority=priority,
+        cases=cases, default=default, initial=initial))
 
 
 def automaton_document_json(aut: PAutomaton, provenance: Optional[dict] = None) -> dict:
+    """The document of ``aut``, which must pass ``validate_automaton``: the
+    letter keys of an automaton it rejects could merge or lose cases."""
+    _valid_automaton(aut)
     transitions: dict[str, Any] = {}
     for q in aut.states:
         table: dict[str, Any] = {"default": formula_json(aut.default[q])}

@@ -430,34 +430,28 @@ def require_int(raw: object, where: str) -> int:
     return raw
 
 
-def embed_chain_as_game(mc: LabeledMarkovChain,
-                        priority: Mapping[str, int] | Sequence[int],
-                        obligations: Mapping[str, Obligation] | None = None) -> ObligationGame:
+def embed_chain_as_game(mc: LabeledMarkovChain, priority: Sequence[int],
+                        obligations: Optional[Sequence[Optional[Obligation]]] = None
+                        ) -> ObligationGame:
     """View a Markov chain as a game in which every configuration is
-    probabilistic; priorities must be non-negative integers."""
+    probabilistic.  ``priority`` and ``obligations`` are indexed by
+    location, as a chain document holds them; priorities must be
+    non-negative integers, and ``None`` obligations mean none at all."""
     n = len(mc)
-    if isinstance(priority, Mapping):
-        missing = [name for name in mc.names if name not in priority]
-        if missing:
-            raise InputFormatError(f"priority missing for locations: {', '.join(missing)}")
-        prio = tuple(require_int(priority[name], f"priority of {name}") for name in mc.names)
-    else:
-        if len(priority) != n:
-            raise InputFormatError("priority sequence length does not match the chain")
-        prio = tuple(require_int(p, f"priority of {name}") for name, p in zip(mc.names, priority))
+    obl = (None,) * n if obligations is None else tuple(obligations)
+    if len(priority) != n or len(obl) != n:
+        raise InputFormatError("priority or obligation sequence length does not match the chain")
+    prio = tuple(require_int(p, f"priority of {name}") for name, p in zip(mc.names, priority))
     for name, p in zip(mc.names, prio):
         if p < 0:
             raise InputFormatError(f"location {name} has negative priority {p}")
-    obl: list[Optional[Obligation]] = [None] * n
-    for name, o in (obligations or {}).items():
-        obl[mc.index(name)] = o
     return ObligationGame(
         names=mc.names,
         owners=tuple(Owner.PROBABILISTIC for _ in range(n)),
         succ=tuple(tuple(t for t, _ in row) for row in mc.succ),
         kernel=mc.succ,
         priority=prio,
-        obligation=tuple(obl),
+        obligation=obl,
     )
 
 

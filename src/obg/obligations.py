@@ -618,9 +618,7 @@ def decide_value(game: ObligationGame, config: int, cmp: str, threshold: Fractio
     if not 0 <= config < len(game):
         raise InputFormatError(
             f"configuration index {config} is out of range for {len(game)} configurations")
-    if not (ZERO <= threshold <= ONE):
-        raise InputFormatError("threshold must lie in [0,1]")
-    ob = Obligation(cmp, threshold)  # reuse comparator validation
+    query = Obligation(cmp, threshold)  # validates the comparator and the threshold
     dep0, rep0 = find_best_dependency(game, budgets=budgets, witnesses=False)
     dual = dual_game(game)
     # the dual's priority shift is our construction, not the user's input
@@ -633,7 +631,7 @@ def decide_value(game: ObligationGame, config: int, cmp: str, threshold: Fractio
                 f"{format_rational(rep0.values[v])} + "
                 f"{format_rational(rep1.values[v])} != 1")
     value = rep0.values[config]
-    return ValueDecision(verdict=ob.holds(value), value=value,
+    return ValueDecision(verdict=query.holds(value), value=value,
                          primal=(dep0, rep0), dual=(dep1, rep1))
 
 

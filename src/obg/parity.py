@@ -346,7 +346,9 @@ def _certify_as(game: ObligationGame, region: frozenset[int],
 # Exact single-player (MDP) analysis.  In every MDP here exactly one
 # player -- the "controller" -- has free choices; the other player's
 # configurations have been restricted to a single successor and behave
-# like pure transitions.
+# like pure transitions.  The end-component routines take either player
+# as the controller; the MDP values are Player 0's, since Player 1's
+# best response is Player 0's in the dual game.
 
 
 def _max_end_components(game: ObligationGame, controller: Owner,
@@ -413,9 +415,8 @@ def _winning_end_components(game: ObligationGame, controller: Owner,
     return frozenset(found)
 
 
-def _mdp_max_reach(game: ObligationGame, controller: Owner,
-                   targets: frozenset[int]) -> Values:
-    """Max probability for the controller of reaching ``targets``.
+def _mdp_max_reach(game: ObligationGame, targets: frozenset[int]) -> Values:
+    """Max probability for Player 0 of reaching ``targets``.
 
     Policy iteration with exact chain evaluation; evaluations are true
     reachability probabilities (zero sets eliminated on the graph), so
@@ -424,7 +425,7 @@ def _mdp_max_reach(game: ObligationGame, controller: Owner,
     """
     n = len(game)
     policy = {v: game.succ[v][0] for v in range(n)
-              if game.owners[v] is controller and v not in targets}
+              if game.owners[v] is Owner.PLAYER0 and v not in targets}
 
     def evaluate() -> list[Fraction]:
         rows = []
@@ -433,7 +434,7 @@ def _mdp_max_reach(game: ObligationGame, controller: Owner,
                 rows.append(((v, ONE),))
             elif game.owners[v] is Owner.PROBABILISTIC:
                 rows.append(game.kernel_row(v))
-            elif game.owners[v] is controller:
+            elif game.owners[v] is Owner.PLAYER0:
                 rows.append(((policy[v], ONE),))
             else:
                 rows.append(((game.succ[v][0], ONE),))
@@ -458,21 +459,21 @@ def _mdp_max_reach(game: ObligationGame, controller: Owner,
             return tuple(x)
 
 
-def _mdp_max_parity(game: ObligationGame, controller: Owner) -> Values:
-    """Max probability for the controller of the min-even parity objective.
+def _mdp_max_parity(game: ObligationGame) -> Values:
+    """Max probability for Player 0 of the min-even parity objective.
 
     Equals the max probability of reaching the union of end components
     whose minimal priority is even: almost every play eventually stays
-    inside some end component, where the controller can realise exactly
-    its minimal priority as the liminf.
+    inside some end component, where Player 0 can realise exactly its
+    minimal priority as the liminf.
     """
     n = len(game)
     for v in range(n):
-        if game.owners[v] is OPPONENT[controller] and len(game.succ[v]) != 1:
+        if game.owners[v] is Owner.PLAYER1 and len(game.succ[v]) != 1:
             raise InternalInvariantError(
                 "MDP analysis requires the passive player to be fully restricted")
-    return _mdp_max_reach(game, controller, _winning_end_components(
-        game, controller, frozenset(range(n)), 0))
+    return _mdp_max_reach(game, _winning_end_components(
+        game, Owner.PLAYER0, frozenset(range(n)), 0))
 
 
 def _best_response_values(game: ObligationGame, sigma: dict[int, int]) -> Values:
@@ -482,7 +483,7 @@ def _best_response_values(game: ObligationGame, sigma: dict[int, int]) -> Values
     the complemented objective in the resulting MDP, which is Player 0's
     in its dual game (``dual_game``).
     """
-    mx = _mdp_max_parity(dual_game(restrict_choice(game, sigma)), Owner.PLAYER0)
+    mx = _mdp_max_parity(dual_game(restrict_choice(game, sigma)))
     return tuple(ONE - x for x in mx)
 
 
@@ -582,7 +583,7 @@ def _closed_form(game: ObligationGame) -> Optional[Values]:
     if game.is_chain():
         return tuple(parity_measure(game.kernel, game.priority))
     if not _player_states(game, Owner.PLAYER1):
-        return _mdp_max_parity(game, Owner.PLAYER0)
+        return _mdp_max_parity(game)
     if not _player_states(game, Owner.PLAYER0):
         return _best_response_values(game, {})
     return None

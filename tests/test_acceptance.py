@@ -73,8 +73,7 @@ def solved_instances():
     for name in ["fig1.chain.json", "fig2_all_winning.chain.json",
                  "fig2_losing_path.chain.json", "fig4.chain.json"]:
         doc = load_chain_doc(name)
-        game = embed_chain_as_game(doc.chain, doc.priority_map(),
-                                   doc.obligation_map())
+        game = embed_chain_as_game(doc.chain, doc.priority, doc.obligations)
         dep, report = find_best_dependency(game, witnesses=False)
         record(game, dep, report)
     for name in ["fig5.game.json", "fig6.game.json", "fig6_s4_geq.game.json",
@@ -112,11 +111,11 @@ def test_criterion_2_fig6_variants():
 def test_criterion_3_fig2_reproduction():
     lose = load_chain_doc("fig2_losing_path.chain.json")
     _, report = find_best_dependency(embed_chain_as_game(
-        lose.chain, lose.priority_map(), lose.obligation_map()), witnesses=False)
+        lose.chain, lose.priority, lose.obligations), witnesses=False)
     ok = (report.value_of("s2") == ZERO and report.value_of("s1") == HALF)
     win = load_chain_doc("fig2_all_winning.chain.json")
     _, report = find_best_dependency(embed_chain_as_game(
-        win.chain, win.priority_map(), win.obligation_map()), witnesses=False)
+        win.chain, win.priority, win.obligations), witnesses=False)
     ok &= report.value_of("s1") == ONE
     report_line(3, ok, "fig2: losing path gives s2=0 and s1=1/2; "
                        "all-winning gives s1=1")
@@ -124,7 +123,7 @@ def test_criterion_3_fig2_reproduction():
 
 def test_criterion_4_fig1_reproduction():
     doc = load_chain_doc("fig1.chain.json")
-    game = embed_chain_as_game(doc.chain, doc.priority_map(), doc.obligation_map())
+    game = embed_chain_as_game(doc.chain, doc.priority, doc.obligations)
     _, report = find_best_dependency(game, witnesses=False)
     ok = report.value_of("s2") == ZERO and report.value_of("s3") == ONE
     ok &= report.pre_values[game.index("s3")] == HALF
@@ -139,7 +138,7 @@ def test_criterion_4_fig1_reproduction():
 
 def test_criterion_5_bottom_versus_empty():
     doc = load_chain_doc("fig4.chain.json")
-    game = embed_chain_as_game(doc.chain, doc.priority_map(), doc.obligation_map())
+    game = embed_chain_as_game(doc.chain, doc.priority, doc.obligations)
     dep, report = find_best_dependency(game, witnesses=False)
     ok = dep.get(0) == frozenset() and report.values[0] == ONE
     mutated = Dependency.from_mapping(game, {0: None})

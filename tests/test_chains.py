@@ -260,7 +260,7 @@ def test_monitor_product_fig6_pattern_measure():
 
 def test_monitor_freezes_one_step_obligation():
     doc = load_chain_doc("fig4.chain.json")
-    game = embed_chain_as_game(doc.chain, doc.priority_map(), doc.obligation_map())
+    game = embed_chain_as_game(doc.chain, doc.priority, doc.obligations)
     gamma, _ = build_gamma_game(game, 0, ())
     # the only frozen pair is the immediate return to s1 at its own priority
     assert [gamma.names[v] for v in frozen_nodes(game, 0)] == ["s1!1"]
@@ -309,7 +309,7 @@ def test_monitor_size_bound():
 
 
 @pytest.mark.parametrize("priority", [[0], [0, 1, 1]], ids=["short", "long"])
-def test_a_priority_map_of_the_wrong_length_is_rejected(priority):
+def test_a_priority_sequence_of_the_wrong_length_is_rejected(priority):
     chain = make_chain(["s", "t"], {"s": {"t": ONE}, "t": {"t": ONE}}, initial="s")
     for call in (lambda: bscc_decompose(chain.succ, priority),
                  lambda: parity_measure(chain.succ, priority),

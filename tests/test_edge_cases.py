@@ -1,6 +1,7 @@
 """Corner cases: extreme thresholds, degenerate shapes, budget edges."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -20,8 +21,7 @@ HALF = F(1, 2)
 
 def single_obligation_chain(cmp, threshold, priority=0):
     chain = make_chain(["s"], {"s": {"s": ONE}}, initial="s")
-    return embed_chain_as_game(chain, {"s": priority},
-                               {"s": Obligation(cmp, threshold)})
+    return embed_chain_as_game(chain, [priority], [Obligation(cmp, threshold)])
 
 
 def test_threshold_zero_nonstrict_is_always_met():
@@ -90,10 +90,15 @@ def test_two_player_game_with_obligation_on_player_config():
 
 
 def test_decide_value_rejects_bad_threshold():
+    # both deciders validate the query as an Obligation, with its messages
     game = single_obligation_chain(GE, HALF)
-    from obg.errors import InputFormatError
-    with pytest.raises(InputFormatError):
-        decide_value(game, 0, GE, F(3, 2))
+    for decide in (decide_value, decide_parity_threshold):
+        with pytest.raises(InputFormatError,
+                           match=re.escape("obligation threshold must lie in [0,1], got 3/2")):
+            decide(game, 0, GE, F(3, 2))
+        with pytest.raises(InputFormatError,
+                           match=re.escape("obligation comparator must be '>=' or '>', got '<'")):
+            decide(game, 0, "<", HALF)
 
 
 def test_tiny_dependency_node_budget_trips(fig5):

@@ -1,5 +1,5 @@
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +7,8 @@ import pytest
 from obg import (InputFormatError, Obligation, Owner, dual_game,
                  embed_chain_as_game, format_rational, make_chain, make_game,
                  parse_rational, solve_parity, validate, validate_chain)
-from obg.model import (ONE, LabeledMarkovChain, ObligationGame, explore_game,
-                       game_from_rows, restrict_choice, settle)
+from obg.model import (ONE, ObligationGame, explore_game, game_from_rows,
+                       restrict_choice, settle)
 import obg.obligations as obligations
 
 from conftest import load_game
@@ -37,8 +37,7 @@ def test_bare_numbers_are_rejected():
 
 
 def test_validate_chain_names_an_out_of_range_successor_by_its_index():
-    chain = LabeledMarkovChain(names=("a",), succ=(((0, ONE), (5, F(0))),),
-                               labels=(frozenset(),), initial=0)
+    chain = replace(make_chain(["a"], {"a": {"a": ONE}}), succ=(((0, ONE), (5, F(0))),))
     assert validate_chain(chain) == [
         "location a has successor index 5 out of range",
         "location a lists successor 5 with non-positive probability 0"]
@@ -120,7 +119,7 @@ def strip(game):
 
 def test_embed_chain_preserves_structure():
     chain = make_chain(["x", "y"], {"x": {"y": ONE}, "y": {"y": ONE}}, initial="x")
-    game = embed_chain_as_game(chain, {"x": 1, "y": 0})
+    game = embed_chain_as_game(chain, [1, 0])
     assert len(game) == 2
     assert all(o is Owner.PROBABILISTIC for o in game.owners)
     assert game.kernel_row(0) == ((1, ONE),)
@@ -129,8 +128,9 @@ def test_embed_chain_preserves_structure():
 
 def test_embed_requires_total_priority():
     chain = make_chain(["x", "y"], {"x": {"y": ONE}, "y": {"y": ONE}}, initial="x")
-    with pytest.raises(InputFormatError):
-        embed_chain_as_game(chain, {"x": 1})
+    for priority, obligations in (([1], None), ([1, 0], [None])):
+        with pytest.raises(InputFormatError, match="sequence length does not match"):
+            embed_chain_as_game(chain, priority, obligations)
 
 
 @pytest.mark.parametrize("bad", [1.5, True, "1", F(1), -1], ids=repr)
@@ -138,14 +138,13 @@ def test_embed_rejects_non_integer_priorities(bad):
     chain = make_chain(["x", "y"], {"x": {"y": ONE}, "y": {"y": ONE}}, initial="x")
     message = ("location x has negative priority -1" if bad == -1 else
                "priority of x must be an integer")
-    for priority in ({"x": bad, "y": 0}, [bad, 0]):
-        with pytest.raises(InputFormatError, match=message):
-            embed_chain_as_game(chain, priority)
+    with pytest.raises(InputFormatError, match=message):
+        embed_chain_as_game(chain, [bad, 0])
 
 
 def test_single_location_even_self_loop_has_value_one():
     chain = make_chain(["s"], {"s": {"s": ONE}}, initial="s")
-    game = embed_chain_as_game(chain, {"s": 0})
+    game = embed_chain_as_game(chain, [0])
     assert solve_parity(game, witnesses=False).values == (ONE,)
 
 

@@ -35,7 +35,7 @@ HALF = F(1, 2)
 
 def chain_game(name: str) -> ObligationGame:
     doc = load_chain_doc(name)
-    return embed_chain_as_game(doc.chain, doc.priority_map(), doc.obligation_map())
+    return embed_chain_as_game(doc.chain, doc.priority, doc.obligations)
 
 
 def named_dependency(game, mapping):
@@ -155,7 +155,7 @@ def test_condition3_fig6(fig6):
 
 def test_condition3_unsatisfiable_threshold():
     mc = make_chain(["s", "t"], {"s": {"t": ONE}, "t": {"t": ONE}}, initial="s")
-    game = embed_chain_as_game(mc, {"s": 0, "t": 0}, {"s": Obligation(">", ONE)})
+    game = embed_chain_as_game(mc, [0, 0], [Obligation(">", ONE), None])
     dep = named_dependency(game, {"s": []})
     ok, failing, _ = check_condition3(game, dep)
     assert not ok
@@ -626,7 +626,7 @@ def test_no_process_wide_memo_in_the_package():
 
 def test_solve_chain_fig1():
     doc = load_chain_doc("fig1.chain.json")
-    game = embed_chain_as_game(doc.chain, doc.priority_map(), doc.obligation_map())
+    game = embed_chain_as_game(doc.chain, doc.priority, doc.obligations)
     dep, report = find_best_dependency(game, witnesses=False)
     values = {doc.chain.names[i]: v for i, v in enumerate(report.values)}
     assert values["s2"] == ZERO
@@ -637,14 +637,14 @@ def test_solve_chain_fig1():
 def test_solve_chain_without_obligations_is_parity_measure():
     from obg import parity_measure
     doc = load_chain_doc("fig1.chain.json")
-    game = embed_chain_as_game(doc.chain, doc.priority_map(), {})
+    game = embed_chain_as_game(doc.chain, doc.priority)
     dep, report = find_best_dependency(game, witnesses=False)
     assert list(report.values) == parity_measure(doc.chain.succ, list(doc.priority))
 
 
 def test_prefix_values_collapse_to_last_configuration():
     doc = load_chain_doc("fig1.chain.json")
-    game = embed_chain_as_game(doc.chain, doc.priority_map(), doc.obligation_map())
+    game = embed_chain_as_game(doc.chain, doc.priority, doc.obligations)
     _, report = find_best_dependency(game, witnesses=False)
     assert value_of_prefix(report, ["s1", "s3"]) == ONE
     assert value_of_prefix(report, ["s1", "s2", "s4"]) == HALF

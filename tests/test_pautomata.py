@@ -274,16 +274,26 @@ UNNAMEABLE = {
 }
 
 
+def unnameable_automaton(shape):
+    propositions, letters, _ = UNNAMEABLE[shape]
+    return PAutomaton(propositions=propositions, states=("q",), priority={"q": 0},
+                      cases={"q": {letter: TT for letter in letters}}, default={"q": FF},
+                      initial=Term("q", ">=", HALF))
+
+
 @pytest.mark.parametrize("shape", UNNAMEABLE)
 def test_propositions_a_letter_key_cannot_name_are_rejected(shape, tmp_path, capsys):
     propositions, letters, problem = UNNAMEABLE[shape]
-    aut = PAutomaton(propositions=propositions, states=("q",), priority={"q": 0},
-                     cases={"q": {letter: TT for letter in letters}}, default={"q": FF},
-                     initial=Term("q", ">=", HALF))
+    aut = unnameable_automaton(shape)
     assert problem in validate_automaton(aut)
     with pytest.raises(InputFormatError, match=re.escape(problem)):
         accepts(aut, two_location())
-    text = io_formats.serialize_automaton_document(aut)
+    # the writer refuses the automaton, so its document is written by hand
+    text = io_formats.dumps({
+        "format": io_formats.FORMAT, "kind": "pautomaton", "propositions": list(propositions),
+        "states": [{"id": "q", "priority": 0}], "initial": ["term", "q", ">=", "1/2"],
+        "transitions": {"q": {"default": ["ff"], "cases": {
+            ",".join(sorted(letter)): ["tt"] for letter in letters}}}})
     with pytest.raises(InputFormatError, match=re.escape(problem)):
         io_formats.parse_automaton_document(text)
     path = tmp_path / "aut.json"
@@ -293,6 +303,16 @@ def test_propositions_a_letter_key_cannot_name_are_rejected(shape, tmp_path, cap
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and problem in err
+
+
+def test_the_writer_refuses_an_automaton_whose_cases_one_letter_key_would_merge():
+    # {a, b} and {'a,b'} are both written under the key "a,b": one case of two
+    aut = unnameable_automaton("comma")
+    assert len(aut.cases["q"]) == 2
+    for write in (io_formats.serialize_automaton_document, io_formats.automaton_document_json):
+        with pytest.raises(InputFormatError, match=re.escape(
+                "invalid automaton: proposition 'a,b' is empty or contains ','")):
+            write(aut)
 
 
 @given(st.integers(0, 10**6))

@@ -1,7 +1,8 @@
 """Every script under ``scripts/`` loads: a script that imports a name
 the package no longer has fails here, not when someone next runs it.
 ``witness_probe.loop_tests``, which reads a private solver function, is
-run on a small game, so a changed private signature fails here too."""
+run on a small game, so a changed private signature fails here too, and
+``run_figures.main`` runs in full, so a name it calls at run time does."""
 
 import importlib.util
 import sys
@@ -44,3 +45,12 @@ def test_witness_probe_counts_the_keep_tests_of_the_test_every_candidate_loop(mo
     strategy = parity._canonical_strategy(game, values, 0)
     assert strategy.as_dict() == {0: 1, 1: 0}
     assert probe.loop_tests(game, values, 0, strategy) == 2
+
+
+def test_run_figures_prints_one_line_per_fixture(monkeypatch, capsys):
+    figures = load(SCRIPTS_DIR / "run_figures.py", monkeypatch)
+    figures.main()
+    lines = capsys.readouterr().out.splitlines()
+    # each fixture's line may be followed by an indented certificate line
+    assert [line.split()[0] for line in lines if not line.startswith(" ")] == \
+        figures.CHAINS + figures.GAMES
